@@ -196,6 +196,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	if len(stages) == 0 {
 		t.Fatal("route should report per-stage wall times")
 	}
+	if route["shuffle_bytes"].(float64) <= 0 {
+		t.Fatalf("route should report shuffled bytes: %v", route)
+	}
 }
 
 // Hammer one query family from many goroutines across strategies: every
@@ -409,5 +412,71 @@ func TestDatasetUploadBounded(t *testing.T) {
 	}
 	if code := post("second"); code != http.StatusInsufficientStorage {
 		t.Fatalf("over-cap upload should be 507, got %d", code)
+	}
+}
+
+// TestMetricsWhileRecordingNewRoutes runs /metrics concurrently with queries
+// that each create a new route entry, so under -race it catches any read of
+// the route map outside the server's lock. A fresh server guarantees the
+// routes are new: recording an existing route does not write the map.
+func TestMetricsWhileRecordingNewRoutes(t *testing.T) {
+	cfg := defaultServerConfig()
+	cfg.Customers = 5
+	cfg.MaxLevel = 1
+	srv, err := newServer(cfg)
+	if err != nil {
+		t.Fatalf("newServer: %v", err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	var routes []string
+	for _, name := range []string{"tpch/nested-to-nested", "tpch/nested-to-flat", "tpch/flat-to-nested"} {
+		for level := 0; level <= 1; level++ {
+			for _, strat := range []string{"standard", "shred", "shred%2Bunshred", "sparksql"} {
+				routes = append(routes, fmt.Sprintf("/query?name=%s&level=%d&strategy=%s&limit=1", name, level, strat))
+			}
+		}
+	}
+	get := func(path string) error {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("%s: status %d: %s", path, resp.StatusCode, body)
+		}
+		return nil
+	}
+	const workers = 4
+	errs := make(chan error, 2*len(routes))
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(2)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < len(routes); i += workers {
+				errs <- get(routes[i])
+			}
+		}(g)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < len(routes)/workers; i++ {
+				errs <- get("/metrics")
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := getJSON(t, ts, "/metrics", http.StatusOK)
+	if got := len(out["routes"].(map[string]any)); got != len(routes) {
+		t.Fatalf("metrics report %d routes, want %d", got, len(routes))
 	}
 }

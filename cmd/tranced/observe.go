@@ -137,27 +137,17 @@ func (s *server) writeMetricsProm(w http.ResponseWriter) {
 	reqs := promtext.Family{Name: "trance_route_requests_total", Help: "Query requests by route (query/level/strategy).", Type: "counter"}
 	errs := promtext.Family{Name: "trance_route_errors_total", Help: "Failed query requests by route.", Type: "counter"}
 	shuf := promtext.Family{Name: "trance_route_shuffle_bytes_total", Help: "Engine bytes shuffled by route.", Type: "counter"}
-	exBufs := promtext.Family{Name: "trance_route_shuffle_exchange_buffers_total", Help: "Shuffle buffers moved across the wide-operator boundary by route and representation (columnar = typed column buffers, boxed = row buffers).", Type: "counter"}
-	exBytes := promtext.Family{Name: "trance_route_shuffle_exchange_bytes_total", Help: "Metered shuffle bytes by route and representation (columnar buffers meter their compact typed encoding).", Type: "counter"}
 	lat := promtext.Family{Name: "trance_route_latency_seconds", Help: "Query execution latency by route.", Type: "histogram"}
 	for _, route := range routes {
 		st := stats[route]
 		ls := []promtext.Label{{Name: "route", Value: route}}
-		columnar := []promtext.Label{{Name: "route", Value: route}, {Name: "representation", Value: "columnar"}}
-		boxed := []promtext.Label{{Name: "route", Value: route}, {Name: "representation", Value: "boxed"}}
 		reqs.Samples = append(reqs.Samples, promtext.Sample{Labels: ls, Value: float64(st.Count)})
 		errs.Samples = append(errs.Samples, promtext.Sample{Labels: ls, Value: float64(st.Errors)})
 		shuf.Samples = append(shuf.Samples, promtext.Sample{Labels: ls, Value: float64(st.ShuffleBytes)})
-		exBufs.Samples = append(exBufs.Samples,
-			promtext.Sample{Labels: columnar, Value: float64(st.ColumnarBuffers)},
-			promtext.Sample{Labels: boxed, Value: float64(st.BoxedBuffers)})
-		exBytes.Samples = append(exBytes.Samples,
-			promtext.Sample{Labels: columnar, Value: float64(st.ColumnarBytes)},
-			promtext.Sample{Labels: boxed, Value: float64(st.BoxedBytes)})
 		lat.Samples = append(lat.Samples, promtext.HistogramSamples(ls, latencyBuckets, st.Hist[:], st.HistInf, st.HistSum)...)
 	}
 	if len(reqs.Samples) > 0 {
-		fams = append(fams, reqs, errs, shuf, exBufs, exBytes, lat)
+		fams = append(fams, reqs, errs, shuf, lat)
 	}
 
 	var buf bytes.Buffer

@@ -69,15 +69,8 @@ type routeStats struct {
 	LastElapsed  time.Duration
 	TotalElapsed time.Duration
 	ShuffleBytes int64
-	// Exchange accounting: how this route's shuffle buffers crossed the
-	// wide-operator boundary — typed column buffers metered by their compact
-	// encoding vs boxed row buffers metered by value.Size walks.
-	ColumnarBuffers int64
-	BoxedBuffers    int64
-	ColumnarBytes   int64
-	BoxedBytes      int64
-	StageWall       map[string]time.Duration
-	stageOrder      []string
+	StageWall    map[string]time.Duration
+	stageOrder   []string
 	// Hist counts run latencies per latencyBuckets bound; HistInf counts
 	// observations above the last bound and HistSum totals all observed
 	// latencies (seconds). Together they form one Prometheus histogram.
@@ -1040,11 +1033,6 @@ func (s *server) record(name string, level int, strat string, res *trance.Result
 	st.LastElapsed = res.Elapsed
 	st.TotalElapsed += res.Elapsed
 	st.ShuffleBytes += res.Metrics.ShuffleBytes
-	ex := res.Metrics.Exchange
-	st.ColumnarBuffers += ex.ColumnarBuffers
-	st.BoxedBuffers += ex.BoxedBuffers
-	st.ColumnarBytes += ex.ColumnarBytes
-	st.BoxedBytes += ex.BoxedBytes
 	st.observe(res.Elapsed)
 	for _, sw := range res.Metrics.StageWall {
 		if _, seen := st.StageWall[sw.Stage]; !seen {
@@ -1096,36 +1084,25 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Stage string  `json:"stage"`
 		Ms    float64 `json:"ms"`
 	}
-	type exchangeOut struct {
-		ColumnarBuffers int64 `json:"columnar_buffers"`
-		BoxedBuffers    int64 `json:"boxed_buffers"`
-		ColumnarBytes   int64 `json:"columnar_bytes"`
-		BoxedBytes      int64 `json:"boxed_bytes"`
-	}
 	type routeOut struct {
-		Count        int64       `json:"count"`
-		Errors       int64       `json:"errors"`
-		LastMs       float64     `json:"last_elapsed_ms"`
-		TotalMs      float64     `json:"total_elapsed_ms"`
-		ShuffleBytes int64       `json:"shuffle_bytes"`
-		Exchange     exchangeOut `json:"shuffle_exchange"`
-		StageWallMs  []stageMs   `json:"stage_wall_ms"`
+		Count        int64     `json:"count"`
+		Errors       int64     `json:"errors"`
+		LastMs       float64   `json:"last_elapsed_ms"`
+		TotalMs      float64   `json:"total_elapsed_ms"`
+		ShuffleBytes int64     `json:"shuffle_bytes"`
+		StageWallMs  []stageMs `json:"stage_wall_ms"`
 	}
 	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
-	routes := make(map[string]routeOut, len(s.stats))
-	for key, st := range s.snapshotStats() {
+	// Size the map from the private copy: s.stats is guarded by s.mu.
+	stats := s.snapshotStats()
+	routes := make(map[string]routeOut, len(stats))
+	for key, st := range stats {
 		ro := routeOut{
 			Count: st.Count, Errors: st.Errors,
 			LastMs: ms(st.LastElapsed), TotalMs: ms(st.TotalElapsed),
 			ShuffleBytes: st.ShuffleBytes,
-			Exchange: exchangeOut{
-				ColumnarBuffers: st.ColumnarBuffers,
-				BoxedBuffers:    st.BoxedBuffers,
-				ColumnarBytes:   st.ColumnarBytes,
-				BoxedBytes:      st.BoxedBytes,
-			},
-			StageWallMs: []stageMs{},
+			StageWallMs:  []stageMs{},
 		}
 		for _, stage := range st.stageOrder {
 			ro.StageWallMs = append(ro.StageWallMs, stageMs{Stage: stage, Ms: ms(st.StageWall[stage])})

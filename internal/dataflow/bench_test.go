@@ -26,73 +26,6 @@ func BenchmarkShuffle(b *testing.B) {
 	}
 }
 
-// BenchmarkColumnarShuffle compares the typed-column exchange against the
-// BoxedExchange ablation on the same typed-key repartition, reporting the
-// metered ShuffleBytes per op so benchstat can compare the two encodings
-// directly. Two row shapes bracket the compact encoding's win: "mixed"
-// (int64/float64/string/bool — scalars and string bytes meter the same both
-// ways, so the saving is the dropped per-row tuple framing plus bit-packed
-// bools) and "flags" (two int64s and six bools — the flag-heavy shape where
-// bit-packing one-eighth-sizes most of the row).
-func BenchmarkColumnarShuffle(b *testing.B) {
-	mixed := make([]Row, 50_000)
-	for i := range mixed {
-		mixed[i] = Row{
-			int64(i % 211),
-			int64(i),
-			float64(i) / 7,
-			fmt.Sprintf("payload-%d", i%13),
-			i%2 == 0,
-			i%3 == 0,
-			i%5 == 0,
-		}
-	}
-	flags := make([]Row, 50_000)
-	for i := range flags {
-		flags[i] = Row{
-			int64(i % 211),
-			int64(i),
-			i%2 == 0,
-			i%3 == 0,
-			i%5 == 0,
-			i%7 == 0,
-			i%11 == 0,
-			i%13 == 0,
-		}
-	}
-	for _, s := range []struct {
-		name string
-		rows []Row
-	}{
-		{"schema=mixed", mixed},
-		{"schema=flags", flags},
-	} {
-		for _, boxed := range []bool{false, true} {
-			name := s.name + "/exchange=columnar"
-			if boxed {
-				name = s.name + "/exchange=boxed"
-			}
-			b.Run(name, func(b *testing.B) {
-				b.ReportAllocs()
-				var bytes int64
-				for i := 0; i < b.N; i++ {
-					c := NewContext(8)
-					c.BoxedExchange = boxed
-					d, err := c.FromRows(s.rows).RepartitionBy("b", []int{0})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if d.Count() != int64(len(s.rows)) {
-						b.Fatal("wrong count")
-					}
-					bytes = c.Metrics.Snapshot().ShuffleBytes
-				}
-				b.ReportMetric(float64(bytes), "shuffle-B/op")
-			})
-		}
-	}
-}
-
 // BenchmarkHashJoin measures the build-probe equi-join.
 func BenchmarkHashJoin(b *testing.B) {
 	left := benchRows(20_000)

@@ -75,11 +75,6 @@ type Context struct {
 	// it to model plans that keep operators with their source relations and
 	// re-exchange data at every key-based step.
 	DisableGuarantees bool
-	// BoxedExchange forces every key-based shuffle onto the boxed row path,
-	// disabling the typed column buffers of the columnar exchange. Ablation
-	// knob: the differential oracle runs both arms and the benchmarks use it
-	// as the baseline.
-	BoxedExchange bool
 
 	// SharedPool, when non-nil, replaces the context's private worker pool so
 	// several concurrent jobs (each with its own Context) draw helper
@@ -172,57 +167,34 @@ type Metrics struct {
 	VectorizedBatches atomic.Int64 // columnar batches processed by vectorized stages
 	VectorizedRows    atomic.Int64 // rows processed by vectorized stages
 
-	mu        sync.Mutex
-	stageWall map[string]time.Duration
-	stageSeen []string // first-seen order, for stable reporting
-	exchange  ExchangeStat
-	stageExch map[string]ExchangeStat
-	exchSeen  []string // first-seen order, for stable reporting
+	mu           sync.Mutex
+	stageWall    map[string]time.Duration
+	stageSeen    []string // first-seen order, for stable reporting
+	stageShuffle map[string]int64
+	shuffleSeen  []string // first-seen order, for stable reporting
 }
 
-// ExchangeStat describes how shuffle data crossed the exchange boundary:
-// how many (source,target) buffers went out typed (columnar) versus boxed,
-// and the metered bytes of each representation. Boxed buffers are metered by
-// value.Size row walks; columnar buffers by their compact typed encoding.
-type ExchangeStat struct {
-	ColumnarBuffers int64
-	BoxedBuffers    int64
-	ColumnarBytes   int64
-	BoxedBytes      int64
-}
-
-// add accumulates o into e.
-func (e *ExchangeStat) add(o ExchangeStat) {
-	e.ColumnarBuffers += o.ColumnarBuffers
-	e.BoxedBuffers += o.BoxedBuffers
-	e.ColumnarBytes += o.ColumnarBytes
-	e.BoxedBytes += o.BoxedBytes
-}
-
-// StageExchange is the exchange accounting of one named shuffle stage.
-type StageExchange struct {
+// StageShuffle is the metered shuffle bytes of one named shuffle stage.
+type StageShuffle struct {
 	Stage string
-	ExchangeStat
+	Bytes int64
 }
 
-// addExchange accumulates one map task's exchange accounting under a stage
-// name and into the run totals.
-func (m *Metrics) addExchange(stage string, e ExchangeStat) {
-	if e == (ExchangeStat{}) {
+// addStageShuffle accumulates one map task's metered shuffle bytes under a
+// stage name.
+func (m *Metrics) addStageShuffle(stage string, bytes int64) {
+	if bytes == 0 {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.exchange.add(e)
-	if m.stageExch == nil {
-		m.stageExch = map[string]ExchangeStat{}
+	if m.stageShuffle == nil {
+		m.stageShuffle = map[string]int64{}
 	}
-	if _, ok := m.stageExch[stage]; !ok {
-		m.exchSeen = append(m.exchSeen, stage)
+	if _, ok := m.stageShuffle[stage]; !ok {
+		m.shuffleSeen = append(m.shuffleSeen, stage)
 	}
-	cur := m.stageExch[stage]
-	cur.add(e)
-	m.stageExch[stage] = cur
+	m.stageShuffle[stage] += bytes
 }
 
 // AddStageWall accumulates wall time under a stage name.
@@ -252,9 +224,8 @@ func (m *Metrics) Reset() {
 	m.mu.Lock()
 	m.stageWall = nil
 	m.stageSeen = nil
-	m.exchange = ExchangeStat{}
-	m.stageExch = nil
-	m.exchSeen = nil
+	m.stageShuffle = nil
+	m.shuffleSeen = nil
 	m.mu.Unlock()
 }
 
@@ -269,13 +240,22 @@ type Snapshot struct {
 	SkippedShuffles   int64
 	VectorizedBatches int64
 	VectorizedRows    int64
-	// Exchange totals how shuffle buffers crossed the boundary.
-	Exchange ExchangeStat
 	// StageWall lists per-stage wall times in first-execution order.
 	StageWall []StageTime
-	// StageExchange lists per-stage exchange accounting in first-execution
+	// StageShuffle lists per-stage metered shuffle bytes in first-execution
 	// order (key-based and rebalance shuffle stages only).
-	StageExchange []StageExchange
+	StageShuffle []StageShuffle
+	// Exchange is derived from ShuffleBytes (BoxedBytes = ShuffleBytes, the
+	// columnar fields always 0). It exists only for the benchmark harness,
+	// which still reads it, and goes away with the next benchmark change.
+	Exchange ExchangeStat
+}
+
+// ExchangeStat splits shuffle bytes by representation. Every shuffle moves
+// rows, so only BoxedBytes is ever non-zero; see Snapshot.Exchange.
+type ExchangeStat struct {
+	ColumnarBytes int64
+	BoxedBytes    int64
 }
 
 // Snapshot copies the current counter values.
@@ -291,23 +271,22 @@ func (m *Metrics) Snapshot() Snapshot {
 		VectorizedBatches: m.VectorizedBatches.Load(),
 		VectorizedRows:    m.VectorizedRows.Load(),
 	}
+	s.Exchange.BoxedBytes = s.ShuffleBytes
 	m.mu.Lock()
 	for _, name := range m.stageSeen {
 		s.StageWall = append(s.StageWall, StageTime{Stage: name, Wall: m.stageWall[name]})
 	}
-	s.Exchange = m.exchange
-	for _, name := range m.exchSeen {
-		s.StageExchange = append(s.StageExchange, StageExchange{Stage: name, ExchangeStat: m.stageExch[name]})
+	for _, name := range m.shuffleSeen {
+		s.StageShuffle = append(s.StageShuffle, StageShuffle{Stage: name, Bytes: m.stageShuffle[name]})
 	}
 	m.mu.Unlock()
 	return s
 }
 
 func (s Snapshot) String() string {
-	return fmt.Sprintf("shuffle=%dB/%drec broadcast=%dB peakPart=%dB/%drows stages=%d skipped=%d vec=%dbatch/%drows exchange=%dcol/%dboxed",
+	return fmt.Sprintf("shuffle=%dB/%drec broadcast=%dB peakPart=%dB/%drows stages=%d skipped=%d vec=%dbatch/%drows",
 		s.ShuffleBytes, s.ShuffleRecords, s.BroadcastBytes, s.PeakPartition, s.PeakPartitionRows,
-		s.Stages, s.SkippedShuffles, s.VectorizedBatches, s.VectorizedRows,
-		s.Exchange.ColumnarBuffers, s.Exchange.BoxedBuffers)
+		s.Stages, s.SkippedShuffles, s.VectorizedBatches, s.VectorizedRows)
 }
 
 // StageReport renders the per-stage wall times, slowest first.
@@ -389,19 +368,30 @@ func (c *Context) timeStage(stage string, fn func() error) error {
 	return err
 }
 
-// checkPartitions records peak partition sizes and enforces the memory cap.
+// checkPartitions sizes every materialized partition (a walk of its rows) and
+// records them through recordPartitions.
 func (c *Context) checkPartitions(stage string, parts [][]Row) error {
-	var failed atomic.Bool
+	sizes := make([]int64, len(parts))
 	_ = c.runParts(len(parts), func(i int) error {
-		sz := value.SizeRows(parts[i])
+		sizes[i] = value.SizeRows(parts[i])
+		return nil
+	})
+	return c.recordPartitions(stage, sizes, parts)
+}
+
+// recordPartitions records peak partition sizes and enforces the memory cap,
+// given each partition's already-known size in bytes. Shuffles pass the sums
+// of their metered buckets, so they never walk a shuffled row twice.
+func (c *Context) recordPartitions(stage string, sizes []int64, parts [][]Row) error {
+	failed := false
+	for i, sz := range sizes {
 		maxInt64(&c.Metrics.PeakPartition, sz)
 		maxInt64(&c.Metrics.PeakPartitionRows, int64(len(parts[i])))
 		if c.MaxPartitionBytes > 0 && sz > c.MaxPartitionBytes {
-			failed.Store(true)
+			failed = true
 		}
-		return nil
-	})
-	if failed.Load() {
+	}
+	if failed {
 		return fmt.Errorf("stage %s: %w", stage, ErrMemoryExceeded)
 	}
 	return nil

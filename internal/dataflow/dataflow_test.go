@@ -120,6 +120,60 @@ func TestShuffleMetrics(t *testing.T) {
 	}
 }
 
+// TestShuffleSizesMatchPartitionWalk pins the shuffle's single byte count:
+// the map side's per-bucket sizes, summed per target, must equal a walk of
+// the reduce-side partitions, so the peak and the memory cap see exactly
+// what checkPartitions would have measured (the cap is inclusive).
+func TestShuffleSizesMatchPartitionWalk(t *testing.T) {
+	var rows []Row
+	for i := 0; i < 500; i++ {
+		rows = append(rows, Row{int64(i % 7), fmt.Sprintf("v%d", i), float64(i)})
+	}
+	for _, rebalance := range []bool{false, true} {
+		run := func(limit int64) (*Dataset, *Context, error) {
+			c := NewContext(4)
+			c.MaxPartitionBytes = limit
+			d := c.FromRows(rows).
+				Filter(func(r Row) bool { return r[0].(int64) != 3 }).
+				Map(func(r Row) Row { return Row{r[0], r[1]} })
+			if rebalance {
+				d, err := d.Rebalance("x")
+				return d, c, err
+			}
+			d, err := d.RepartitionBy("x", []int{0})
+			return d, c, err
+		}
+		d, c, err := run(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var total, peak, peakRows int64
+		for _, p := range d.parts {
+			sz := value.SizeRows(p)
+			total += sz
+			peak = max(peak, sz)
+			peakRows = max(peakRows, int64(len(p)))
+		}
+		m := c.Metrics.Snapshot()
+		if m.ShuffleBytes != total || m.PeakPartition != peak || m.PeakPartitionRows != peakRows {
+			t.Fatalf("rebalance=%t: shuffle=%d peak=%d/%d rows, want %d, %d/%d", rebalance,
+				m.ShuffleBytes, m.PeakPartition, m.PeakPartitionRows, total, peak, peakRows)
+		}
+		if len(m.StageShuffle) != 1 || m.StageShuffle[0] != (StageShuffle{Stage: "x", Bytes: total}) {
+			t.Fatalf("rebalance=%t: stage shuffle %+v, want one entry of %d bytes", rebalance, m.StageShuffle, total)
+		}
+		if m.Exchange != (ExchangeStat{BoxedBytes: total}) {
+			t.Fatalf("rebalance=%t: derived exchange %+v, want boxed=%d", rebalance, m.Exchange, total)
+		}
+		if _, _, err := run(peak); err != nil {
+			t.Fatalf("rebalance=%t: cap at the peak should pass: %v", rebalance, err)
+		}
+		if _, _, err := run(peak - 1); !errors.Is(err, ErrMemoryExceeded) {
+			t.Fatalf("rebalance=%t: cap below the peak: want ErrMemoryExceeded, got %v", rebalance, err)
+		}
+	}
+}
+
 func TestInnerJoin(t *testing.T) {
 	c := NewContext(4)
 	l := c.FromRows([]Row{{int64(1), "a"}, {int64(2), "b"}, {int64(2), "b2"}, {int64(3), "c"}})

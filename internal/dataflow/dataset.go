@@ -63,14 +63,10 @@ type stageFn func(r Row, emit func(Row))
 // stage is one instantiated fused operator. Row-at-a-time operators populate
 // only fn. Batching operators (the vectorized filter/map stages) additionally
 // set flush, called once after the partition's last row so a buffered partial
-// batch still reaches the downstream chain, and colFn, the column-aware entry
-// feed drives window-by-window when the stage heads the chain of a partition
-// that carries a columnar mirror (a columnar shuffle output) — the stage then
-// starts from ready-made columns instead of re-transposing its row window.
+// batch still reaches the downstream chain.
 type stage struct {
 	fn    stageFn
 	flush func(emit func(Row))
-	colFn func(rows []Row, cols []Column, emit func(Row))
 }
 
 // stageFactory instantiates a stage for one partition. Stages that carry
@@ -90,17 +86,8 @@ type stageFactory func(part int) stage
 // activity: force mutates parts/stages without synchronization. Publish a
 // dataset to concurrent readers only after Force.
 type Dataset struct {
-	ctx   *Context
-	parts [][]Row
-	// colChunks, when non-nil, is the columnar mirror of parts produced by a
-	// columnar shuffle: per partition, the per-source exchange buffers in
-	// bucket order, each covering a contiguous run of the partition's rows.
-	// Keeping the chunks instead of concatenating them makes the reduce side
-	// zero-copy — the buffers built on the map side are handed to the
-	// receiving chain as-is. The mirror rides along the fused chain untouched
-	// and is consumed by feed when the chain's first stage is column-aware;
-	// materializing any stage invalidates it.
-	colChunks   [][]colChunk
+	ctx         *Context
+	parts       [][]Row
 	stages      []stageFactory
 	partitioner *Partitioner
 	// err poisons the dataset after a partition task failed (memory cap or a
@@ -157,7 +144,7 @@ func (d *Dataset) withStage(f stageFactory) *Dataset {
 	stages := make([]stageFactory, len(d.stages)+1)
 	copy(stages, d.stages)
 	stages[len(d.stages)] = f
-	return &Dataset{ctx: d.ctx, parts: d.parts, colChunks: d.colChunks, stages: stages, err: d.err}
+	return &Dataset{ctx: d.ctx, parts: d.parts, stages: stages, err: d.err}
 }
 
 // feed streams partition part through the fused operator chain into sink.
@@ -166,12 +153,6 @@ func (d *Dataset) withStage(f stageFactory) *Dataset {
 // stages are flushed upstream-first after the last source row, so a partial
 // batch flushed out of stage i still flows through stages i+1…n (and their
 // flushes, in turn).
-// When the partition carries a columnar mirror (a columnar shuffle output)
-// and the chain's first stage is column-aware, the source loop instead walks
-// BatchSize windows of the mirror, handing the stage zero-copy column slices
-// alongside the row window — the consumer starts from columns without a
-// transpose round-trip. Everything downstream of the first stage is
-// row-at-a-time exactly as before, so results are bit-identical.
 func (d *Dataset) feed(part int, sink func(Row)) {
 	type boundFlush struct {
 		flush func(emit func(Row))
@@ -179,78 +160,20 @@ func (d *Dataset) feed(part int, sink func(Row)) {
 	}
 	emit := sink
 	var flushes []boundFlush
-	var head stage
-	var headNext func(Row)
 	for i := len(d.stages) - 1; i >= 0; i-- {
 		st := d.stages[i](part)
 		next := emit
 		emit = func(r Row) { st.fn(r, next) }
-		if i == 0 {
-			head, headNext = st, next
-		}
 		if st.flush != nil {
 			flushes = append(flushes, boundFlush{st.flush, next})
 		}
 	}
-	rows := d.parts[part]
-	if chunks := d.partChunks(part, len(rows)); chunks != nil && head.colFn != nil {
-		var win []Column
-		off := 0
-		for _, ch := range chunks {
-			cn := ch.cols[0].Len
-			if cap(win) < len(ch.cols) {
-				win = make([]Column, len(ch.cols))
-			}
-			w := win[:len(ch.cols)]
-			// Window offsets are chunk-local, so full windows start on bitmap
-			// word boundaries and sliceCol aliases them without copying.
-			for lo := 0; lo < cn; lo += BatchSize {
-				hi := lo + BatchSize
-				if hi > cn {
-					hi = cn
-				}
-				for ci := range ch.cols {
-					sliceCol(&w[ci], &ch.cols[ci], lo, hi)
-				}
-				head.colFn(rows[off+lo:off+hi], w, headNext)
-			}
-			off += cn
-		}
-	} else {
-		for _, r := range rows {
-			emit(r)
-		}
+	for _, r := range d.parts[part] {
+		emit(r)
 	}
 	for i := len(flushes) - 1; i >= 0; i-- {
 		flushes[i].flush(flushes[i].next)
 	}
-}
-
-// colChunk is one source's contribution to a shuffled partition's columnar
-// mirror: uniform-width columns covering a contiguous run (cols[0].Len rows)
-// of the partition, in bucket-concatenation order.
-type colChunk struct {
-	cols []Column
-}
-
-// partChunks returns the columnar mirror of one partition, or nil when absent
-// or inconsistent with the partition's row count.
-func (d *Dataset) partChunks(part, nrows int) []colChunk {
-	if d.colChunks == nil || part >= len(d.colChunks) || nrows == 0 {
-		return nil
-	}
-	chunks := d.colChunks[part]
-	n := 0
-	for _, ch := range chunks {
-		if len(ch.cols) == 0 {
-			return nil
-		}
-		n += ch.cols[0].Len
-	}
-	if n != nrows {
-		return nil
-	}
-	return chunks
 }
 
 // force runs the pending fused chain (in parallel over the worker pool) and
@@ -270,7 +193,6 @@ func (d *Dataset) force() error {
 	})
 	d.parts = parts
 	d.stages = nil
-	d.colChunks = nil // the mirror described the pre-chain rows
 	if err != nil && d.err == nil {
 		d.err = err
 	}
@@ -365,13 +287,11 @@ func (d *Dataset) Filter(pred func(Row) bool) *Dataset {
 // FilterVec keeps rows satisfying a batched predicate. Rows are buffered into
 // BatchSize windows; pred sees one window at a time and returns its selection
 // bitmap (typically produced by the vector kernels over transposed columns).
-// cols is non-nil only when the window arrived pre-transposed from a columnar
-// shuffle (the stage heads the chain of such a partition); predicates should
-// prefer those columns over re-transposing rows. Selected rows are emitted
+// Selected rows are emitted
 // untouched — no reconstruction from columns — so results are bit-identical
 // to Filter with the equivalent row predicate. Narrow, fused, lazy; preserves
 // the partitioning guarantee.
-func (d *Dataset) FilterVec(pred func(rows []Row, cols []Column) Bitmap) *Dataset {
+func (d *Dataset) FilterVec(pred func(rows []Row) Bitmap) *Dataset {
 	m := &d.ctx.Metrics
 	out := d.withStage(func(int) stage {
 		var bufp *[]Row
@@ -380,7 +300,7 @@ func (d *Dataset) FilterVec(pred func(rows []Row, cols []Column) Bitmap) *Datase
 				return
 			}
 			buf := *bufp
-			sel := pred(buf, nil)
+			sel := pred(buf)
 			for i, r := range buf {
 				if sel.Get(i) {
 					emit(r)
@@ -404,16 +324,6 @@ func (d *Dataset) FilterVec(pred func(rows []Row, cols []Column) Bitmap) *Datase
 				run(emit)
 				bufp = putRowBuf(bufp)
 			},
-			colFn: func(rows []Row, cols []Column, emit func(Row)) {
-				sel := pred(rows, cols)
-				for i, r := range rows {
-					if sel.Get(i) {
-						emit(r)
-					}
-				}
-				m.VectorizedBatches.Add(1)
-				m.VectorizedRows.Add(int64(len(rows)))
-			},
 		}
 	})
 	out.partitioner = d.partitioner
@@ -421,11 +331,9 @@ func (d *Dataset) FilterVec(pred func(rows []Row, cols []Column) Bitmap) *Datase
 }
 
 // MapVec applies a batched 1:1 transform: fn receives a BatchSize window and
-// must return exactly one output row per input row, in order. cols is non-nil
-// only when the window arrived pre-transposed from a columnar shuffle, as in
-// FilterVec. Narrow, fused, lazy; drops the guarantee (use MapVecPreserving
-// when key columns survive).
-func (d *Dataset) MapVec(fn func(rows []Row, cols []Column) []Row) *Dataset {
+// must return exactly one output row per input row, in order. Narrow, fused,
+// lazy; drops the guarantee (use MapVecPreserving when key columns survive).
+func (d *Dataset) MapVec(fn func(rows []Row) []Row) *Dataset {
 	m := &d.ctx.Metrics
 	return d.withStage(func(int) stage {
 		var bufp *[]Row
@@ -434,7 +342,7 @@ func (d *Dataset) MapVec(fn func(rows []Row, cols []Column) []Row) *Dataset {
 				return
 			}
 			buf := *bufp
-			for _, r := range fn(buf, nil) {
+			for _, r := range fn(buf) {
 				emit(r)
 			}
 			m.VectorizedBatches.Add(1)
@@ -455,20 +363,13 @@ func (d *Dataset) MapVec(fn func(rows []Row, cols []Column) []Row) *Dataset {
 				run(emit)
 				bufp = putRowBuf(bufp)
 			},
-			colFn: func(rows []Row, cols []Column, emit func(Row)) {
-				for _, r := range fn(rows, cols) {
-					emit(r)
-				}
-				m.VectorizedBatches.Add(1)
-				m.VectorizedRows.Add(int64(len(rows)))
-			},
 		}
 	})
 }
 
 // MapVecPreserving is MapVec keeping the partitioning guarantee; the caller
 // asserts key columns survive in place.
-func (d *Dataset) MapVecPreserving(fn func(rows []Row, cols []Column) []Row) *Dataset {
+func (d *Dataset) MapVecPreserving(fn func(rows []Row) []Row) *Dataset {
 	out := d.MapVec(fn)
 	out.partitioner = d.partitioner
 	return out

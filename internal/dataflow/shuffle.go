@@ -10,11 +10,6 @@ import (
 // dataset already carries an identical partitioning guarantee the shuffle is
 // skipped entirely — this is how partitioning guarantees cut data movement
 // (paper Section 3). Every row moved through the shuffle is metered.
-//
-// Key-based shuffles take the columnar exchange path (see colbuffer.go)
-// unless the context's BoxedExchange ablation is set: map tasks transpose
-// their output into typed per-target column buffers, hash directly over the
-// vectors, and meter the compact typed encoding instead of walking every row.
 func (d *Dataset) RepartitionBy(stage string, cols []int) (*Dataset, error) {
 	if d.err != nil {
 		return nil, d.err
@@ -24,7 +19,7 @@ func (d *Dataset) RepartitionBy(stage string, cols []int) (*Dataset, error) {
 		d.ctx.Metrics.SkippedShuffles.Add(1)
 		return d, nil
 	}
-	out, err := d.shuffle(stage, cols, func(int) func(Row) uint64 {
+	out, err := d.shuffle(stage, func(int) func(Row) uint64 {
 		return func(r Row) uint64 { return value.HashCols(r, cols) }
 	})
 	if err != nil {
@@ -34,21 +29,19 @@ func (d *Dataset) RepartitionBy(stage string, cols []int) (*Dataset, error) {
 	return out, nil
 }
 
-// shuffle redistributes rows into Parallelism partitions. keyCols names the
-// hash key columns when the shuffle is key-based — only then can the exchange
-// go columnar; keyless shuffles (Rebalance) pass nil and use hashFor, which
-// builds one hash function per source partition (stateful routing stays
-// partition-local and race-free).
+// shuffle redistributes rows into Parallelism partitions. hashFor builds one
+// hash function per source partition, so stateful routing (Rebalance's
+// round-robin counter) stays partition-local and race-free.
 //
 // The exchange is pipelined: each map-side task streams its partition through
-// the dataset's fused narrow-operator chain directly into P per-target
-// buffers — the pre-shuffle map/filter chain is never materialized. Each
-// reduce-side task then concatenates its (source,target) buffers; on the
-// columnar path that concatenation also produces per-partition column sets
-// that seed the receiving chain's vectorized stages. Both sides run
-// goroutine-per-partition on the bounded worker pool, and every buffer
-// crossing the boundary is metered (per buffer, not per row).
-func (d *Dataset) shuffle(stage string, keyCols []int, hashFor func(part int) func(Row) uint64) (*Dataset, error) {
+// the dataset's fused narrow-operator chain directly into P per-target row
+// buckets — the pre-shuffle map/filter chain is never materialized — and
+// meters each bucket once. Each reduce-side task then concatenates its
+// (source,target) buckets. Both sides run goroutine-per-partition on the
+// bounded worker pool. The map side's per-bucket byte counts, summed per
+// target, are the reduce-side partition sizes the memory cap checks, so no
+// shuffled row is sized twice.
+func (d *Dataset) shuffle(stage string, hashFor func(part int) func(Row) uint64) (*Dataset, error) {
 	c := d.ctx
 	p := c.Parallelism
 	c.Metrics.Stages.Add(1)
@@ -58,16 +51,10 @@ func (d *Dataset) shuffle(stage string, keyCols []int, hashFor func(part int) fu
 		return nil, d.err
 	}
 
-	columnar := keyCols != nil && !c.BoxedExchange
-
-	// Map side: source partition i streams into buckets[i][t] for target t.
-	// Columnar sources additionally fill colBufs[i][t]; a source that spilled
-	// (non-uniform row width) leaves its colBufs entry nil.
+	// Map side: source partition i streams into buckets[i][t] for target t
+	// and records each bucket's metered size in sizes[i][t].
 	buckets := make([][][]Row, len(d.parts))
-	var colBufs [][]*ColBuffer
-	if columnar {
-		colBufs = make([][]*ColBuffer, len(d.parts))
-	}
+	sizes := make([][]int64, len(d.parts))
 	mapErr := c.runParts(len(d.parts), func(i int) error {
 		local := make([][]Row, p)
 		// Pre-size every per-target slice for a uniform spread of this
@@ -76,52 +63,22 @@ func (d *Dataset) shuffle(stage string, keyCols []int, hashFor func(part int) fu
 		for t := range local {
 			local[t] = make([]Row, 0, hint)
 		}
-		var ex ExchangeStat
-		var recs int64
-		if columnar {
-			bufs := make([]*ColBuffer, p)
-			m := newColMapper(keyCols, p, bufs, local, hint)
-			d.feed(i, m.add)
-			m.flush()
-			if m.spilled {
-				for t := range local {
-					if len(local[t]) == 0 {
-						continue
-					}
-					ex.BoxedBuffers++
-					ex.BoxedBytes += value.SizeRows(local[t])
-					recs += int64(len(local[t]))
-				}
-			} else {
-				colBufs[i] = bufs
-				for t := range bufs {
-					if bufs[t] == nil || bufs[t].Len() == 0 {
-						continue
-					}
-					ex.ColumnarBuffers++
-					ex.ColumnarBytes += bufs[t].CompactBytes()
-					recs += int64(bufs[t].Len())
-				}
-			}
-		} else {
-			hash := hashFor(i)
-			d.feed(i, func(r Row) {
-				t := int(hash(r) % uint64(p))
-				local[t] = append(local[t], r)
-			})
-			for t := range local {
-				if len(local[t]) == 0 {
-					continue
-				}
-				ex.BoxedBuffers++
-				ex.BoxedBytes += value.SizeRows(local[t])
-				recs += int64(len(local[t]))
-			}
+		hash := hashFor(i)
+		d.feed(i, func(r Row) {
+			t := int(hash(r) % uint64(p))
+			local[t] = append(local[t], r)
+		})
+		sz := make([]int64, p)
+		var bytes, recs int64
+		for t := range local {
+			sz[t] = value.SizeRows(local[t])
+			bytes += sz[t]
+			recs += int64(len(local[t]))
 		}
-		buckets[i] = local
-		c.Metrics.ShuffleBytes.Add(ex.ColumnarBytes + ex.BoxedBytes)
+		buckets[i], sizes[i] = local, sz
+		c.Metrics.ShuffleBytes.Add(bytes)
 		c.Metrics.ShuffleRecords.Add(recs)
-		c.Metrics.addExchange(stage, ex)
+		c.Metrics.addStageShuffle(stage, bytes)
 		return nil
 	})
 	if mapErr != nil {
@@ -130,62 +87,30 @@ func (d *Dataset) shuffle(stage string, keyCols []int, hashFor func(part int) fu
 	}
 
 	// Reduce side: each target partition concatenates its row buckets and
-	// keeps the per-source column buffers as chunks in the same order — the
-	// columnar mirror is zero-copy, the map-side buffers are handed to the
-	// receiving chain's first vectorized stage as-is. A source that spilled
-	// (rows without columns) or a cross-source width disagreement drops the
-	// mirror for the affected target; the rows always stand alone.
+	// sums their metered sizes.
 	parts := make([][]Row, p)
-	var colChunks [][]colChunk
-	if columnar {
-		colChunks = make([][]colChunk, p)
-	}
+	partBytes := make([]int64, p)
 	reduceErr := c.runParts(p, func(t int) error {
 		var n int
 		for i := range buckets {
 			n += len(buckets[i][t])
+			partBytes[t] += sizes[i][t]
 		}
 		rows := make([]Row, 0, n)
 		for i := range buckets {
 			rows = append(rows, buckets[i][t]...)
 		}
 		parts[t] = rows
-		if columnar && n > 0 {
-			chunks := make([]colChunk, 0, len(colBufs))
-			width := -1
-			for i := range buckets {
-				bn := len(buckets[i][t])
-				if bn == 0 {
-					continue
-				}
-				if colBufs[i] == nil || colBufs[i][t] == nil || colBufs[i][t].Len() != bn {
-					chunks = nil
-					break
-				}
-				cols := colBufs[i][t].Columns()
-				if len(cols) == 0 || (width >= 0 && len(cols) != width) {
-					chunks = nil
-					break
-				}
-				width = len(cols)
-				chunks = append(chunks, colChunk{cols: cols})
-			}
-			if len(chunks) > 0 {
-				colChunks[t] = chunks
-			}
-		}
 		return nil
 	})
+	c.Metrics.AddStageWall(stage, time.Since(start))
 	if reduceErr != nil {
-		c.Metrics.AddStageWall(stage, time.Since(start))
 		return nil, reduceErr
 	}
-
-	c.Metrics.AddStageWall(stage, time.Since(start))
-	if err := c.checkPartitions(stage, parts); err != nil {
+	if err := c.recordPartitions(stage, partBytes, parts); err != nil {
 		return nil, err
 	}
-	return &Dataset{ctx: c, parts: parts, colChunks: colChunks}, nil
+	return &Dataset{ctx: c, parts: parts}, nil
 }
 
 // Rebalance redistributes rows round-robin (no key), dropping any guarantee.
@@ -194,7 +119,7 @@ func (d *Dataset) shuffle(stage string, keyCols []int, hashFor func(part int) fu
 // so sources do not all target the same sequence), keeping the map side free
 // of shared state.
 func (d *Dataset) Rebalance(stage string) (*Dataset, error) {
-	return d.shuffle(stage, nil, func(part int) func(Row) uint64 {
+	return d.shuffle(stage, func(part int) func(Row) uint64 {
 		i := uint64(part)
 		return func(Row) uint64 {
 			i++

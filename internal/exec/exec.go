@@ -330,11 +330,11 @@ func (ex *Executor) applySelect(in *dataflow.Dataset, x *plan.Select) *dataflow.
 	if x.NullifyCols == nil {
 		if prog != nil {
 			pool := arenaPool()
-			return in.FilterVec(func(rows []dataflow.Row, cols []dataflow.Column) dataflow.Bitmap {
+			return in.FilterVec(func(rows []dataflow.Row) dataflow.Bitmap {
 				start := batchTimer(ns)
 				ar := pool.Get().(*vecArena)
 				defer pool.Put(ar)
-				vb := newVecBatchPre(rows, cols, ar)
+				vb := newVecBatchArena(rows, ar)
 				vals, nulls, ok := evalBits(prog, vb)
 				if !ok {
 					// Dynamic types contradicted the schema for this batch:
@@ -371,11 +371,11 @@ func (ex *Executor) applySelect(in *dataflow.Dataset, x *plan.Select) *dataflow.
 	}
 	if prog != nil {
 		pool := arenaPool()
-		return in.MapVecPreserving(func(rows []dataflow.Row, cols []dataflow.Column) []dataflow.Row {
+		return in.MapVecPreserving(func(rows []dataflow.Row) []dataflow.Row {
 			start := batchTimer(ns)
 			ar := pool.Get().(*vecArena)
 			defer pool.Put(ar)
-			vb := newVecBatchPre(rows, cols, ar)
+			vb := newVecBatchArena(rows, ar)
 			out := make([]dataflow.Row, len(rows))
 			vals, nulls, ok := evalBits(prog, vb)
 			if !ok {
@@ -414,11 +414,11 @@ func (ex *Executor) applyExtend(in *dataflow.Dataset, x *plan.Extend) *dataflow.
 	if ex.Vectorize {
 		if outs, _ := compileOuts(x.Exprs); outs != nil {
 			pool := arenaPool()
-			return in.MapVecPreserving(func(rows []dataflow.Row, cols []dataflow.Column) []dataflow.Row {
+			return in.MapVecPreserving(func(rows []dataflow.Row) []dataflow.Row {
 				start := batchTimer(ns)
 				ar := pool.Get().(*vecArena)
 				defer pool.Put(ar)
-				res, kernel := extendBatch(newVecBatchPre(rows, cols, ar), x, outs)
+				res, kernel := extendBatch(newVecBatchArena(rows, ar), x, outs)
 				batchDone(ns, start, len(rows), len(res), kernel)
 				return res
 			})
@@ -471,11 +471,11 @@ func (ex *Executor) applyProject(in *dataflow.Dataset, x *plan.Project) *dataflo
 	if ex.Vectorize {
 		if outs, _ := compileOuts(x.Outs); outs != nil {
 			pool := arenaPool()
-			return in.MapVec(func(rows []dataflow.Row, cols []dataflow.Column) []dataflow.Row {
+			return in.MapVec(func(rows []dataflow.Row) []dataflow.Row {
 				start := batchTimer(ns)
 				ar := pool.Get().(*vecArena)
 				defer pool.Put(ar)
-				res, kernel := projectBatch(newVecBatchPre(rows, cols, ar), x, outs, bagOut)
+				res, kernel := projectBatch(newVecBatchArena(rows, ar), x, outs, bagOut)
 				batchDone(ns, start, len(rows), len(res), kernel)
 				return res
 			})

@@ -107,12 +107,13 @@ func TestQErrorsCollection(t *testing.T) {
 
 func TestExplainAnalyzedRendering(t *testing.T) {
 	root, a := analyzedTree()
-	text := ExplainAnalyzed(root, a, map[string]time.Duration{"join#1": 2 * time.Millisecond}, nil)
+	text := ExplainAnalyzed(root, a, map[string]time.Duration{"join#1": 2 * time.Millisecond}, map[string]int64{"join#1": 4096})
 	for _, want := range []string{
 		"[actual_rows=97 rows_in=580 wall=180µs batches=4 vec=3 fallback=1]",
-		"wall=2ms",    // the join resolves its stage wall from the map
-		"q_err=1.03",  // join: 600 est vs 580 actual
-		"q_err=12.50", // index scan: 4 est vs 50 actual
+		"wall=2ms",           // the join resolves its stage wall from the map
+		"shuffle_bytes=4096", // and its shuffle bytes from the byte map
+		"q_err=1.03",         // join: 600 est vs 580 actual
+		"q_err=12.50",        // index scan: 4 est vs 50 actual
 		"index_matched=50",
 		"[actual_rows=100]", // plain scan: no wall, no batches
 	} {
@@ -123,7 +124,7 @@ func TestExplainAnalyzedRendering(t *testing.T) {
 
 	// Without the stage-wall map the wide operator renders without a wall.
 	noWall := ExplainAnalyzed(root, a, nil, nil)
-	if strings.Contains(noWall, "wall=2ms") {
+	if strings.Contains(noWall, "wall=2ms") || strings.Contains(noWall, "shuffle_bytes") {
 		t.Fatalf("stage wall rendered without a map:\n%s", noWall)
 	}
 

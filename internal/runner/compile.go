@@ -256,7 +256,6 @@ func NewRunContext(cfg Config, strat Strategy) *dataflow.Context {
 	ctx.Workers = cfg.Workers
 	ctx.MaxPartitionBytes = cfg.MaxPartitionBytes
 	ctx.BroadcastLimit = cfg.BroadcastLimit
-	ctx.BoxedExchange = cfg.BoxedExchange
 	if strat == SparkSQLStyle {
 		ctx.DisableGuarantees = true
 	}

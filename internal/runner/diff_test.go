@@ -327,14 +327,13 @@ func (g *dgen) query() nrc.Expr {
 // on). vec toggles the columnar batch path independently, so every seed runs
 // both the vectorized kernels and the row-at-a-time interpreter they must be
 // bit-identical to.
-func diffConfig(full, vec, noIdx, boxedEx bool, ests map[string]plan.TableEstimate, limit int64) runner.Config {
+func diffConfig(full, vec, noIdx bool, ests map[string]plan.TableEstimate, limit int64) runner.Config {
 	cfg := runner.DefaultConfig()
 	cfg.Parallelism = 3
 	cfg.NoPredicatePushdown = !full
 	cfg.NoCostModel = !full
 	cfg.NoVectorize = !vec
 	cfg.NoIndexScan = noIdx
-	cfg.BoxedExchange = boxedEx
 	cfg.Stats = ests
 	cfg.BroadcastLimit = limit
 	return cfg
@@ -446,19 +445,15 @@ var diffBroadcastLimits = []int64{0, 200, 64 << 10}
 
 // runDifferential executes one generated query under the full
 // strategy × {full, ablated} × {vectorized, row-only} × {indexed,
-// NoIndexScan} × {columnar-exchange, boxed-exchange} matrix and compares
-// each run against the oracle (the index arm only splits full runs: ablated
-// runs skip annotation and so never plan index scans; the exchange arm only
-// splits full vectorized indexed runs — the columnar shuffle path is on
-// everywhere else, so the boxed ablation is the interesting extra arm). The
-// query is regenerated from the same bytes for every compilation
-// (compilation annotates ASTs in place). Returns the number of runs whose
-// plans the optimizer changed, the number of vectorized runs that actually
-// executed at least one columnar batch, the number of runs that planned at
-// least one index scan, and the number of runs that moved typed column
-// buffers across a shuffle exchange, or an error describing the first
+// NoIndexScan} matrix and compares each run against the oracle (the index
+// arm only splits full runs: ablated runs skip annotation and so never plan
+// index scans). The query is regenerated from the same bytes for every
+// compilation (compilation annotates ASTs in place). Returns the number of
+// runs whose plans the optimizer changed, the number of vectorized runs that
+// actually executed at least one columnar batch, and the number of runs that
+// planned at least one index scan, or an error describing the first
 // divergence.
-func runDifferential(data []byte, strict bool) (optimized, vectorized, indexed, columnar int, err error) {
+func runDifferential(data []byte, strict bool) (optimized, vectorized, indexed int, err error) {
 	env := diffEnv()
 	g := &dgen{data: data}
 	inputs := g.dataset()
@@ -473,7 +468,7 @@ func runDifferential(data []byte, strict bool) (optimized, vectorized, indexed, 
 
 	want, err := oracleEval(q, env, inputs)
 	if err != nil {
-		return 0, 0, 0, 0, fmt.Errorf("generated query fails Check (generator bug): %v\n%s", err, nrc.Print(q))
+		return 0, 0, 0, fmt.Errorf("generated query fails Check (generator bug): %v\n%s", err, nrc.Print(q))
 	}
 	ests := collectDiffStats(env, inputs)
 	applyIndexes(ests, chosen)
@@ -486,63 +481,49 @@ func runDifferential(data []byte, strict bool) (optimized, vectorized, indexed, 
 			}
 			for _, vec := range []bool{true, false} {
 				for _, noIdx := range noIdxArms {
-					boxedArms := []bool{false}
-					if full && vec && !noIdx {
-						boxedArms = []bool{false, true}
+					cfg := diffConfig(full, vec, noIdx, ests, limit)
+					cq, cerr := runner.Compile(mkQuery(), env, strat, cfg)
+					if cerr != nil {
+						if strict {
+							return optimized, vectorized, indexed, fmt.Errorf("%s (full=%t, vec=%t, noidx=%t) does not compile: %v\n%s",
+								strat, full, vec, noIdx, cerr, nrc.Print(q))
+						}
+						return optimized, vectorized, indexed, errSkip
 					}
-					for _, boxedEx := range boxedArms {
-						cfg := diffConfig(full, vec, noIdx, boxedEx, ests, limit)
-						cq, cerr := runner.Compile(mkQuery(), env, strat, cfg)
-						if cerr != nil {
-							if strict {
-								return optimized, vectorized, indexed, columnar, fmt.Errorf("%s (full=%t, vec=%t, noidx=%t, boxedex=%t) does not compile: %v\n%s",
-									strat, full, vec, noIdx, boxedEx, cerr, nrc.Print(q))
-							}
-							return optimized, vectorized, indexed, columnar, errSkip
+					if full && vec && !noIdx && cq.Opt.Total() > 0 {
+						optimized++
+					}
+					if cq.Idx.Planned > 0 {
+						if noIdx {
+							return optimized, vectorized, indexed, fmt.Errorf(
+								"%s planned %d index scans with NoIndexScan set\n%s", strat, cq.Idx.Planned, nrc.Print(q))
 						}
-						if full && vec && !noIdx && !boxedEx && cq.Opt.Total() > 0 {
-							optimized++
-						}
-						if cq.Idx.Planned > 0 {
-							if noIdx {
-								return optimized, vectorized, indexed, columnar, fmt.Errorf(
-									"%s planned %d index scans with NoIndexScan set\n%s", strat, cq.Idx.Planned, nrc.Print(q))
-							}
-							indexed++
-						}
-						res := cq.Execute(context.Background(), inputs, runner.NewRunContext(cfg, cq.Strategy))
-						if res.Failed() {
-							return optimized, vectorized, indexed, columnar, fmt.Errorf("%s (full=%t, vec=%t, noidx=%t, boxedex=%t) failed: %v\n%s",
-								strat, full, vec, noIdx, boxedEx, res.Err, nrc.Print(q))
-						}
-						if vec && res.Metrics.VectorizedBatches > 0 {
-							vectorized++
-						}
-						ex := res.Metrics.Exchange
-						if boxedEx && ex.ColumnarBuffers > 0 {
-							return optimized, vectorized, indexed, columnar, fmt.Errorf(
-								"%s moved %d columnar buffers with BoxedExchange set\n%s", strat, ex.ColumnarBuffers, nrc.Print(q))
-						}
-						if ex.ColumnarBuffers > 0 {
-							columnar++
-						}
-						got, gerr := nestedOutput(cq, res)
-						if gerr != nil {
-							return optimized, vectorized, indexed, columnar, fmt.Errorf("%s (full=%t, vec=%t, noidx=%t, boxedex=%t) unshred: %v\n%s",
-								strat, full, vec, noIdx, boxedEx, gerr, nrc.Print(q))
-						}
-						if !value.Equal(got, want) {
-							return optimized, vectorized, indexed, columnar, fmt.Errorf(
-								"%s (full=%t, vec=%t, noidx=%t, boxedex=%t, resolved %s, bcast=%d, idx-planned=%d) diverges from the nrc.Eval oracle\nquery:\n%s\ninputs: %s\n got: %s\nwant: %s\nexplain:\n%s",
-								strat, full, vec, noIdx, boxedEx, cq.Strategy, limit, cq.Idx.Planned, nrc.Print(q), value.Format(value.Tuple{inputs["R"], inputs["S"]}),
-								value.Format(got), value.Format(want), cq.Explain())
-						}
+						indexed++
+					}
+					res := cq.Execute(context.Background(), inputs, runner.NewRunContext(cfg, cq.Strategy))
+					if res.Failed() {
+						return optimized, vectorized, indexed, fmt.Errorf("%s (full=%t, vec=%t, noidx=%t) failed: %v\n%s",
+							strat, full, vec, noIdx, res.Err, nrc.Print(q))
+					}
+					if vec && res.Metrics.VectorizedBatches > 0 {
+						vectorized++
+					}
+					got, gerr := nestedOutput(cq, res)
+					if gerr != nil {
+						return optimized, vectorized, indexed, fmt.Errorf("%s (full=%t, vec=%t, noidx=%t) unshred: %v\n%s",
+							strat, full, vec, noIdx, gerr, nrc.Print(q))
+					}
+					if !value.Equal(got, want) {
+						return optimized, vectorized, indexed, fmt.Errorf(
+							"%s (full=%t, vec=%t, noidx=%t, resolved %s, bcast=%d, idx-planned=%d) diverges from the nrc.Eval oracle\nquery:\n%s\ninputs: %s\n got: %s\nwant: %s\nexplain:\n%s",
+							strat, full, vec, noIdx, cq.Strategy, limit, cq.Idx.Planned, nrc.Print(q), value.Format(value.Tuple{inputs["R"], inputs["S"]}),
+							value.Format(got), value.Format(want), cq.Explain())
 					}
 				}
 			}
 		}
 	}
-	return optimized, vectorized, indexed, columnar, nil
+	return optimized, vectorized, indexed, nil
 }
 
 // errSkip marks an uncompilable fuzz-generated query (tolerated only in the
@@ -561,20 +542,19 @@ func seedBytes(seed int) []byte {
 
 // TestDifferentialOracle is the headline soundness gate: 300 generated
 // queries × (7 strategies + AUTO) × {full, ablated} × {vectorized,
-// row-only} × {indexed, NoIndexScan} × {columnar-exchange, boxed-exchange},
-// every run compared against the reference evaluator. Runs under -race in CI.
+// row-only} × {indexed, NoIndexScan}, every run compared against the
+// reference evaluator. Runs under -race in CI.
 func TestDifferentialOracle(t *testing.T) {
 	n := 300
 	if testing.Short() {
 		n = 60
 	}
-	optimized, vectorized, indexed, columnar := 0, 0, 0, 0
+	optimized, vectorized, indexed := 0, 0, 0
 	for seed := 0; seed < n; seed++ {
-		opt, vec, idx, col, err := runDifferential(seedBytes(seed), true)
+		opt, vec, idx, err := runDifferential(seedBytes(seed), true)
 		optimized += opt
 		vectorized += vec
 		indexed += idx
-		columnar += col
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -594,12 +574,7 @@ func TestDifferentialOracle(t *testing.T) {
 	if indexed < n/4 {
 		t.Fatalf("only %d runs planned an index scan across %d seeds — generator no longer exercises index planning", indexed, n)
 	}
-	// And the columnar-exchange arm must actually move typed buffers across
-	// shuffles, not silently spill to boxed rows on every generated query.
-	if columnar < n/4 {
-		t.Fatalf("only %d runs moved typed column buffers across an exchange over %d seeds — the columnar shuffle path is no longer exercised", columnar, n)
-	}
-	t.Logf("%d queries × ~56 runs agreed with the oracle; optimizer changed plans in %d runs; %d runs executed columnar batches; %d runs planned index scans; %d runs shuffled typed column buffers", n, optimized, vectorized, indexed, columnar)
+	t.Logf("%d queries × 48 runs agreed with the oracle; optimizer changed plans in %d runs; %d runs executed columnar batches; %d runs planned index scans", n, optimized, vectorized, indexed)
 }
 
 // TestAnalyzeStableAcrossRoutes re-runs a sampled subset of the differential
@@ -637,7 +612,7 @@ func TestAnalyzeStableAcrossRoutes(t *testing.T) {
 
 		for _, vec := range []bool{true, false} {
 			for _, noIdx := range []bool{false, true} {
-				cfg := diffConfig(true, vec, noIdx, false, ests, limit)
+				cfg := diffConfig(true, vec, noIdx, ests, limit)
 				cq, cerr := runner.Compile(mkQuery(), env, runner.Standard, cfg)
 				if cerr != nil {
 					t.Fatalf("seed %d (vec=%t, noidx=%t): compile: %v", seed, vec, noIdx, cerr)
@@ -690,7 +665,7 @@ func FuzzDifferential(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{255, 1, 254, 3, 252, 7, 248, 15, 240, 31, 224, 63, 192, 127, 128})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, _, _, _, err := runDifferential(data, false); err != nil {
+		if _, _, _, err := runDifferential(data, false); err != nil {
 			if err == errSkip {
 				t.Skip("generated query outside the compilable fragment")
 			}

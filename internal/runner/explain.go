@@ -80,29 +80,24 @@ func (cq *Compiled) ExplainAnalyze(res *Result) string {
 		wall[st.Stage] += st.Wall
 	}
 	// Shuffle stages are named under the operator's base stage plus a side
-	// suffix ("join#1/L"); node stats carry the base name, so the exchange
-	// accounting aggregates under the text before the first '/'.
-	exch := map[string]plan.ExchangeStat{}
-	for _, se := range res.Metrics.StageExchange {
-		base := se.Stage
+	// suffix ("join#1/L"); node stats carry the base name, so the shuffle
+	// bytes aggregate under the text before the first '/'.
+	shuffled := map[string]int64{}
+	for _, ss := range res.Metrics.StageShuffle {
+		base := ss.Stage
 		if i := strings.IndexByte(base, '/'); i >= 0 {
 			base = base[:i]
 		}
-		cur := exch[base]
-		cur.ColumnarBuffers += se.ColumnarBuffers
-		cur.BoxedBuffers += se.BoxedBuffers
-		cur.ColumnarBytes += se.ColumnarBytes
-		cur.BoxedBytes += se.BoxedBytes
-		exch[base] = cur
+		shuffled[base] += ss.Bytes
 	}
 	if cq.Plan != nil {
-		fmt.Fprintf(&sb, "=== plan (analyzed) ===\n%s", plan.ExplainAnalyzed(cq.Plan, a, wall, exch))
+		fmt.Fprintf(&sb, "=== plan (analyzed) ===\n%s", plan.ExplainAnalyzed(cq.Plan, a, wall, shuffled))
 	}
 	for _, st := range cq.Stmts {
-		fmt.Fprintf(&sb, "=== assignment %s (analyzed) ===\n%s", st.Name, plan.ExplainAnalyzed(st.Plan, a, wall, exch))
+		fmt.Fprintf(&sb, "=== assignment %s (analyzed) ===\n%s", st.Name, plan.ExplainAnalyzed(st.Plan, a, wall, shuffled))
 	}
 	if cq.Unshred != nil {
-		fmt.Fprintf(&sb, "=== unshred plan (analyzed) ===\n%s", plan.ExplainAnalyzed(cq.Unshred, a, wall, exch))
+		fmt.Fprintf(&sb, "=== unshred plan (analyzed) ===\n%s", plan.ExplainAnalyzed(cq.Unshred, a, wall, shuffled))
 	}
 	qerrs := cq.qErrors(a)
 	if len(qerrs) > 0 {
@@ -113,10 +108,6 @@ func (cq *Compiled) ExplainAnalyze(res *Result) string {
 	}
 	fmt.Fprintf(&sb, "execution: wall=%s shuffled=%dB rows_shuffled=%d\n",
 		res.Elapsed.Round(time.Microsecond), res.Metrics.ShuffleBytes, res.Metrics.ShuffleRecords)
-	if e := res.Metrics.Exchange; e.ColumnarBuffers+e.BoxedBuffers > 0 {
-		fmt.Fprintf(&sb, "exchange: columnar_buffers=%d boxed_buffers=%d columnar_bytes=%dB boxed_bytes=%dB\n",
-			e.ColumnarBuffers, e.BoxedBuffers, e.ColumnarBytes, e.BoxedBytes)
-	}
 	return sb.String()
 }
 

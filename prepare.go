@@ -516,9 +516,8 @@ func fingerprint(q Expr, env Env, cfg Config) string {
 	for _, n := range names {
 		fmt.Fprintf(h, "%s:%s\n", n, env[n])
 	}
-	fmt.Fprintf(h, "de=%t prune=%t pushdown=%t vec=%t noidx=%t boxedex=%t\n",
-		cfg.DomainElimination, !cfg.NoColumnPruning, !cfg.NoPredicatePushdown, !cfg.NoVectorize, cfg.NoIndexScan,
-		cfg.BoxedExchange)
+	fmt.Fprintf(h, "de=%t prune=%t pushdown=%t vec=%t noidx=%t\n",
+		cfg.DomainElimination, !cfg.NoColumnPruning, !cfg.NoPredicatePushdown, !cfg.NoVectorize, cfg.NoIndexScan)
 	// Cost-model inputs: the broadcast limit and auto thresholds change what
 	// Annotate/ChooseStrategy compile, and the statistics digest ties cached
 	// plans to the dataset generation they were costed against — a Drop +
