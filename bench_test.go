@@ -873,7 +873,7 @@ func BenchmarkIndexScanAblation(b *testing.B) {
 				idxs := cq.BuildIndexes(c.inputs)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res := cq.ExecuteRowsIndexed(context.Background(), rows, idxs, runner.NewRunContext(cfg, runner.Standard))
+					res := cq.ExecuteRowsOpts(context.Background(), rows, runner.NewRunContext(cfg, runner.Standard), runner.ExecOptions{Indexes: idxs})
 					if res.Failed() {
 						b.Fatal(res.Err)
 					}
@@ -912,7 +912,7 @@ func BenchmarkAnalyzeOverhead(b *testing.B) {
 		}
 		run := func(b *testing.B, analysis func() *plan.Analysis) {
 			for i := 0; i < b.N; i++ {
-				res := cq.ExecuteRowsOpts(context.Background(), rows, nil,
+				res := cq.ExecuteRowsOpts(context.Background(), rows,
 					runner.NewRunContext(cfg, strat), runner.ExecOptions{Analysis: analysis()})
 				if res.Failed() {
 					b.Fatal(res.Err)

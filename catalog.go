@@ -659,7 +659,7 @@ func (e *UnknownDatasetError) Error() string {
 // Select→IndexScan conversion keys on, and indexed datasets additionally
 // publish their estimate under the shredded top-component name — value
 // shredding preserves top-level row order and scalar column positions, so the
-// same indexes (re-keyed by runner.Compiled.MapIndexes) serve both routes.
+// same indexes (re-keyed for the route by the executor) serve both routes.
 func (c *Catalog) resolve(vars []string, bindings map[string]string) (Env, map[string]Bag, map[string]int64, map[string]plan.TableEstimate, map[string]*index.Set, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -888,10 +888,16 @@ func (s *Session) Prepare(q Expr) (*SessionQuery, error) { return s.PrepareNamed
 
 // PrepareNamed is Prepare with a label used in errors and metrics.
 func (s *Session) PrepareNamed(name string, q Expr) (*SessionQuery, error) {
-	sq := &SessionQuery{s: s, name: name, q: q, vars: sortedVars(nrc.FreeVars(q))}
-	sq.mu.Lock()
-	defer sq.mu.Unlock()
-	if err := sq.refreshLocked(); err != nil {
+	sq := &SessionQuery{resolution: newResolution(s, sortedVars(nrc.FreeVars(q)),
+		func(env Env, cfg *Config, compileMu *sync.Mutex) (*PreparedQuery, error) {
+			pq, err := Prepare(q, PrepareOptions{Name: name, Env: env, Config: cfg, Pool: s.pool})
+			if err != nil {
+				return nil, err
+			}
+			pq.compileMu = compileMu
+			return pq, nil
+		})}
+	if _, _, err := sq.current(); err != nil {
 		return nil, err
 	}
 	return sq, nil
@@ -957,10 +963,16 @@ func (s *Session) PreparePipeline(steps []PipelineStep) (*SessionPipeline, error
 	for i, st := range steps {
 		asg[i] = nrc.Assignment{Name: st.Name, Expr: st.Query}
 	}
-	sp := &SessionPipeline{s: s, steps: steps, vars: sortedVars(nrc.FreeVarsProgram(asg))}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if err := sp.refreshLocked(); err != nil {
+	sp := &SessionPipeline{resolution: newResolution(s, sortedVars(nrc.FreeVarsProgram(asg)),
+		func(env Env, cfg *Config, compileMu *sync.Mutex) (*PreparedPipeline, error) {
+			pp, err := PreparePipeline(steps, PrepareOptions{Env: env, Config: cfg, Pool: s.pool})
+			if err != nil {
+				return nil, err
+			}
+			pp.compileMu = compileMu
+			return pp, nil
+		})}
+	if _, _, err := sp.current(); err != nil {
 		return nil, err
 	}
 	return sp, nil
@@ -975,28 +987,38 @@ func sortedVars(set map[string]bool) []string {
 	return vars
 }
 
-// SessionQuery is a query prepared against a catalog: compiled plans come
-// from the process-wide plan cache, input conversion is cached per route,
-// any number of goroutines may Run concurrently, and every Run re-resolves
-// against the catalog when a referenced dataset's generation moved (see
-// Session).
-type SessionQuery struct {
+// resolution is the generation-aware state shared by SessionQuery and
+// SessionPipeline: the prepared artifact P and its bound data for the
+// catalog generations last resolved. Runs re-resolve when any referenced
+// dataset's generation moved; runs already executing keep the snapshot they
+// started with.
+type resolution[P any] struct {
 	s    *Session
-	name string
-	q    Expr
 	vars []string
+	// prepare typechecks and prepares the query or pipeline against a
+	// resolved environment and config, installing compileMu as the
+	// artifact's compile mutex.
+	prepare func(env Env, cfg *Config, compileMu *sync.Mutex) (P, error)
+	// compileMu serializes every generation's preparation and compilation:
+	// re-preparing shares the query AST with the prior generation's artifact,
+	// and both the typecheck and lazy compilation annotate it in place.
+	compileMu *sync.Mutex
 
 	mu   sync.Mutex // guards the cached resolution below
-	pq   *PreparedQuery
-	data *PreparedData
+	p    P
+	data *PreparedData // nil until the first successful resolution
 	gens map[string]int64
 }
 
-// refreshLocked re-resolves the query against the catalog's current
-// generations and re-prepares it. Caller holds sq.mu.
-func (sq *SessionQuery) refreshLocked() error {
-	s := sq.s
-	env, inputs, gens, ests, idxs, err := s.cat.resolve(sq.vars, s.bind)
+func newResolution[P any](s *Session, vars []string, prepare func(Env, *Config, *sync.Mutex) (P, error)) resolution[P] {
+	return resolution[P]{s: s, vars: vars, prepare: prepare, compileMu: &sync.Mutex{}}
+}
+
+// refreshLocked re-resolves against the catalog's current generations and
+// re-prepares. Caller holds r.mu.
+func (r *resolution[P]) refreshLocked() error {
+	s := r.s
+	env, inputs, gens, ests, idxs, err := s.cat.resolve(r.vars, s.bind)
 	if err != nil {
 		return err
 	}
@@ -1004,94 +1026,90 @@ func (sq *SessionQuery) refreshLocked() error {
 	if len(ests) > 0 {
 		cfg.Stats = ests
 	}
-	// Re-preparing shares the query AST with the prior generation's prepared
-	// query, and both Prepare's typecheck and lazy compilation annotate it in
-	// place — so every generation serializes on one compile mutex.
-	var pq *PreparedQuery
-	if sq.pq != nil {
-		mu := sq.pq.compileMu
-		mu.Lock()
-		pq, err = Prepare(sq.q, PrepareOptions{Name: sq.name, Env: env, Config: &cfg, Pool: s.pool})
-		if pq != nil {
-			pq.compileMu = mu
-		}
-		mu.Unlock()
-	} else {
-		pq, err = Prepare(sq.q, PrepareOptions{Name: sq.name, Env: env, Config: &cfg, Pool: s.pool})
-	}
+	r.compileMu.Lock()
+	p, err := r.prepare(env, &cfg, r.compileMu)
+	r.compileMu.Unlock()
 	if err != nil {
 		return err
 	}
-	data := pq.BindData(inputs)
+	data := newPreparedData(inputs)
 	data.convert = s.converter(gens)
-	data.idxs = idxs
+	data.idxs, data.buildIdxs = idxs, false
 	s.pruneRows(gens)
-	sq.pq, sq.data, sq.gens = pq, data, gens
+	r.p, r.data, r.gens = p, data, gens
 	return nil
 }
 
-// current returns the prepared artifacts for a run, re-resolving when any
-// referenced dataset's generation moved. The staleness probe is one
-// read-locked walk; a refresh re-prepares through the plan cache (a
-// generation-stamped fingerprint, so unchanged plans are cache hits).
-func (sq *SessionQuery) current() (*PreparedQuery, *PreparedData, error) {
-	sq.mu.Lock()
-	defer sq.mu.Unlock()
-	if sq.pq != nil && sq.s.cat.generationsUnchanged(sq.vars, sq.s.bind, sq.gens) {
-		return sq.pq, sq.data, nil
+// current returns the prepared artifact and its data for a run,
+// re-resolving when any referenced dataset's generation moved. The staleness
+// probe is one read-locked walk; a refresh re-prepares through the plan
+// cache (a generation-stamped fingerprint, so unchanged plans are cache
+// hits).
+func (r *resolution[P]) current() (P, *PreparedData, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.data != nil && r.s.cat.generationsUnchanged(r.vars, r.s.bind, r.gens) {
+		return r.p, r.data, nil
 	}
-	if err := sq.refreshLocked(); err != nil {
+	if err := r.refreshLocked(); err != nil {
 		// A referenced dataset was dropped without a replacement: keep
 		// serving the last snapshot rather than failing the serving path.
 		var ue *UnknownDatasetError
-		if errors.As(err, &ue) && sq.pq != nil {
-			return sq.pq, sq.data, nil
+		if errors.As(err, &ue) && r.data != nil {
+			return r.p, r.data, nil
 		}
-		return nil, nil, err
+		var zero P
+		return zero, nil, err
 	}
-	return sq.pq, sq.data, nil
+	return r.p, r.data, nil
+}
+
+// prepared returns the current artifact, or the last resolved one when
+// re-resolution fails.
+func (r *resolution[P]) prepared() P {
+	_, _, _ = r.current() // a failed refresh keeps the last resolution
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.p
+}
+
+// SessionQuery is a query prepared against a catalog: compiled plans come
+// from the process-wide plan cache, input conversion is cached per route,
+// any number of goroutines may Run concurrently, and every Run re-resolves
+// against the catalog when a referenced dataset's generation moved (see
+// Session).
+type SessionQuery struct {
+	resolution[*PreparedQuery]
 }
 
 // Prepared exposes the current underlying prepared query (output types,
 // columns, fingerprint), refreshed against the catalog like Run.
-func (sq *SessionQuery) Prepared() *PreparedQuery {
-	pq, _, err := sq.current()
-	if err != nil {
-		sq.mu.Lock()
-		defer sq.mu.Unlock()
-		return sq.pq
-	}
-	return pq
-}
+func (sq *SessionQuery) Prepared() *PreparedQuery { return sq.prepared() }
 
 // Run evaluates the query under the strategy over the current catalog
 // generations of the referenced datasets (re-resolving after mutations; see
 // Session).
 func (sq *SessionQuery) Run(ctx context.Context, strat Strategy) (*Result, error) {
-	return sq.runStrategy(ctx, strat, false)
+	_, res, err := sq.run(ctx, strat, false)
+	return res, err
 }
 
-// RunAnalyzed is Run with EXPLAIN ANALYZE instrumentation: the execution
-// collects per-operator runtime statistics into Result.Analyze (render with
-// ExplainAnalyze or PreparedQuery.ExplainAnalyzeResult).
-func (sq *SessionQuery) RunAnalyzed(ctx context.Context, strat Strategy) (*Result, error) {
-	return sq.runStrategy(ctx, strat, true)
-}
-
-func (sq *SessionQuery) runStrategy(ctx context.Context, strat Strategy, analyze bool) (*Result, error) {
+// run resolves the current generation once and evaluates it, with EXPLAIN
+// ANALYZE instrumentation when analyze is set. It returns the prepared query
+// it ran, so callers derive output schemas and explains from the same
+// generation as the rows.
+func (sq *SessionQuery) run(ctx context.Context, strat Strategy, analyze bool) (*PreparedQuery, *Result, error) {
 	rsp := trace.From(ctx).Span().Child("resolve")
 	pq, data, err := sq.current()
-	if err == nil && pq != nil {
+	if err == nil {
 		rsp.Set("query", pq.label())
 	}
 	rsp.End()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if analyze {
-		return pq.RunBoundAnalyzed(ctx, data, strat)
-	}
-	return pq.RunBound(ctx, data, strat)
+	res, err := pq.runBound(ctx, data, strat, analyze)
+	return pq, res, err
 }
 
 // ExplainAnalyze executes the query under the strategy with per-operator
@@ -1099,11 +1117,7 @@ func (sq *SessionQuery) runStrategy(ctx context.Context, strat Strategy, analyze
 // analyzed plans with a q-error summary — the text behind
 // `trance query -analyze` and tranced POST /explain?analyze=1.
 func (sq *SessionQuery) ExplainAnalyze(ctx context.Context, strat Strategy) (string, error) {
-	pq, data, err := sq.current()
-	if err != nil {
-		return "", err
-	}
-	res, err := pq.RunBoundAnalyzed(ctx, data, strat)
+	pq, res, err := sq.run(ctx, strat, true)
 	if err != nil {
 		return "", err
 	}
@@ -1123,11 +1137,11 @@ func (sq *SessionQuery) RunJSON(ctx context.Context, strat Strategy) ([]map[stri
 // engine metrics, and (with analyze set) the per-operator statistics in
 // Result.Analyze. The returned Result may be non-nil even on error.
 func (sq *SessionQuery) RunJSONFull(ctx context.Context, strat Strategy, analyze bool) ([]map[string]any, *Result, error) {
-	cols, err := sq.pq.OutputSchema(strat)
+	pq, res, err := sq.run(ctx, strat, analyze)
 	if err != nil {
-		return nil, nil, err
+		return nil, res, err
 	}
-	res, err := sq.runStrategy(ctx, strat, analyze)
+	cols, err := pq.OutputSchema(strat)
 	if err != nil {
 		return nil, res, err
 	}
@@ -1155,100 +1169,40 @@ func encodeRowsJSON(rows []dataflow.Row, cols []OutputColumn) []map[string]any {
 // per route, and every Run re-resolves against the catalog when a referenced
 // dataset's generation moved (see Session).
 type SessionPipeline struct {
-	s     *Session
-	steps []PipelineStep
-	vars  []string
-
-	mu   sync.Mutex // guards the cached resolution below
-	pp   *PreparedPipeline
-	data *PreparedData
-	gens map[string]int64
-}
-
-// refreshLocked re-resolves the pipeline against the catalog's current
-// generations and re-prepares it. Caller holds sp.mu.
-func (sp *SessionPipeline) refreshLocked() error {
-	s := sp.s
-	env, inputs, gens, ests, idxs, err := s.cat.resolve(sp.vars, s.bind)
-	if err != nil {
-		return err
-	}
-	cfg := s.cfg
-	if len(ests) > 0 {
-		cfg.Stats = ests
-	}
-	// Step ASTs are shared across generations; serialize their annotation on
-	// one compile mutex exactly like SessionQuery.refreshLocked.
-	var pp *PreparedPipeline
-	if sp.pp != nil {
-		mu := sp.pp.compileMu
-		mu.Lock()
-		pp, err = PreparePipeline(sp.steps, PrepareOptions{Env: env, Config: &cfg, Pool: s.pool})
-		if pp != nil {
-			pp.compileMu = mu
-		}
-		mu.Unlock()
-	} else {
-		pp, err = PreparePipeline(sp.steps, PrepareOptions{Env: env, Config: &cfg, Pool: s.pool})
-	}
-	if err != nil {
-		return err
-	}
-	data := pp.BindData(inputs)
-	data.convert = s.converter(gens)
-	data.idxs = idxs
-	s.pruneRows(gens)
-	sp.pp, sp.data, sp.gens = pp, data, gens
-	return nil
-}
-
-func (sp *SessionPipeline) current() (*PreparedPipeline, *PreparedData, error) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.pp != nil && sp.s.cat.generationsUnchanged(sp.vars, sp.s.bind, sp.gens) {
-		return sp.pp, sp.data, nil
-	}
-	if err := sp.refreshLocked(); err != nil {
-		var ue *UnknownDatasetError
-		if errors.As(err, &ue) && sp.pp != nil {
-			return sp.pp, sp.data, nil
-		}
-		return nil, nil, err
-	}
-	return sp.pp, sp.data, nil
+	resolution[*PreparedPipeline]
 }
 
 // Prepared exposes the current underlying prepared pipeline, refreshed
 // against the catalog like Run.
-func (sp *SessionPipeline) Prepared() *PreparedPipeline {
-	pp, _, err := sp.current()
-	if err != nil {
-		sp.mu.Lock()
-		defer sp.mu.Unlock()
-		return sp.pp
-	}
-	return pp
-}
+func (sp *SessionPipeline) Prepared() *PreparedPipeline { return sp.prepared() }
 
 // Run executes the pipeline under the strategy over the current catalog
 // generations of the referenced datasets (re-resolving after mutations; see
 // Session).
 func (sp *SessionPipeline) Run(ctx context.Context, strat Strategy) (*PipelineResult, error) {
+	_, res, err := sp.run(ctx, strat)
+	return res, err
+}
+
+// run resolves the current generation once and evaluates it, returning the
+// prepared pipeline it ran (see SessionQuery.run).
+func (sp *SessionPipeline) run(ctx context.Context, strat Strategy) (*PreparedPipeline, *PipelineResult, error) {
 	pp, data, err := sp.current()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return pp.RunBound(ctx, data, strat)
+	res, err := pp.RunBound(ctx, data, strat)
+	return pp, res, err
 }
 
 // RunJSON is Run plus JSON encoding of the final step's output, typed by the
 // pipeline's output schema — SessionQuery.RunJSON for pipelines.
 func (sp *SessionPipeline) RunJSON(ctx context.Context, strat Strategy) ([]map[string]any, error) {
-	cols, err := sp.pp.OutputSchema(strat)
+	pp, res, err := sp.run(ctx, strat)
 	if err != nil {
 		return nil, err
 	}
-	res, err := sp.Run(ctx, strat)
+	cols, err := pp.OutputSchema(strat)
 	if err != nil {
 		return nil, err
 	}

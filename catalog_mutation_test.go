@@ -361,3 +361,85 @@ func TestCatalogAnalyzeAppendRace(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionJSONRunAppendRace: RunJSON racing with Append + Run must read
+// the prepared query (or pipeline) and its output schema from the same
+// generation snapshot as the rows it encodes. Run with -race.
+func TestSessionJSONRunAppendRace(t *testing.T) {
+	const initial, appends = 20, 30
+	project := func(src string) trance.Expr {
+		return trance.ForIn("x", trance.V(src), trance.SingOf(trance.Record(
+			"id", trance.P(trance.V("x"), "id"),
+			"grp", trance.P(trance.V("x"), "grp"))))
+	}
+	cases := []struct {
+		name    string
+		prepare func(s *trance.Session) (run func() error, runJSON func() ([]map[string]any, error), err error)
+	}{
+		{"query", func(s *trance.Session) (func() error, func() ([]map[string]any, error), error) {
+			sq, err := s.Prepare(project("D"))
+			if err != nil {
+				return nil, nil, err
+			}
+			run := func() error { _, err := sq.Run(context.Background(), trance.Standard); return err }
+			return run, func() ([]map[string]any, error) { return sq.RunJSON(context.Background(), trance.Standard) }, nil
+		}},
+		{"pipeline", func(s *trance.Session) (func() error, func() ([]map[string]any, error), error) {
+			sp, err := s.PreparePipeline([]trance.PipelineStep{
+				{Name: "P", Query: project("D")},
+				{Name: "Out", Query: project("P")},
+			})
+			if err != nil {
+				return nil, nil, err
+			}
+			run := func() error { _, err := sp.Run(context.Background(), trance.Standard); return err }
+			return run, func() ([]map[string]any, error) { return sp.RunJSON(context.Background(), trance.Standard) }, nil
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cat := trance.NewCatalog()
+			if err := cat.Register("D", mutType(), mutBag(initial)); err != nil {
+				t.Fatal(err)
+			}
+			run, runJSON, err := c.prepare(cat.NewSession(trance.SessionOptions{}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < appends; i++ {
+					if _, err := cat.Append("D", trance.Bag{mutRow(int64(1000 + i))}); err != nil {
+						t.Errorf("append: %v", err)
+						return
+					}
+					if err := run(); err != nil {
+						t.Errorf("run: %v", err)
+						return
+					}
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				for i := 0; i < appends; i++ {
+					rows, err := runJSON()
+					if err != nil {
+						t.Errorf("run json: %v", err)
+						return
+					}
+					if n := len(rows); n < initial || n > initial+appends {
+						t.Errorf("run json: %d rows, want %d..%d", n, initial, initial+appends)
+						return
+					}
+				}
+			}()
+			wg.Wait()
+			rows, err := runJSON()
+			if err != nil || len(rows) != initial+appends {
+				t.Fatalf("after appends: %d rows (%v), want %d", len(rows), err, initial+appends)
+			}
+		})
+	}
+}

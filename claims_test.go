@@ -38,7 +38,12 @@ func fig7aRun(t *testing.T, class tpch.QueryClass, level int, strat runner.Strat
 	if err != nil {
 		t.Fatalf("%s L%d %s: compile: %v", class, level, strat, err)
 	}
-	res := cq.Execute(context.Background(), inputs, runner.NewRunContext(cfg, cq.Strategy))
+	rows, err := cq.InputRows(inputs)
+	if err != nil {
+		return nil, 0, err
+	}
+	res := cq.ExecuteRowsOpts(context.Background(), rows, runner.NewRunContext(cfg, cq.Strategy),
+		runner.ExecOptions{Indexes: cq.BuildIndexes(inputs)})
 	if res.Failed() {
 		return nil, 0, res.Err
 	}

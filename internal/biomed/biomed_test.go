@@ -151,3 +151,32 @@ func TestPipelineShredShufflesLess(t *testing.T) {
 			shr.Metrics.ShuffleBytes, std.Metrics.ShuffleBytes)
 	}
 }
+
+// TestPipelineHonoursVectorize: the Fig 9 pipeline runs its narrow operators
+// on the vectorized path unless Config.NoVectorize is set, under both the
+// standard and the shredded route, and either way matches the oracle.
+func TestPipelineHonoursVectorize(t *testing.T) {
+	inputs := Generate(SmallConfig())
+	want := oraclePipeline(t, inputs)
+	for _, strat := range []runner.Strategy{runner.Standard, runner.ShredUnshred} {
+		for _, noVec := range []bool{false, true} {
+			rcfg := runner.DefaultConfig()
+			rcfg.NoVectorize = noVec
+			res := runner.RunPipeline(Steps(), Env(), inputs, strat, rcfg)
+			if res.Failed() {
+				t.Fatalf("%s (novec=%t) failed at step %d: %v", strat, noVec, res.FailedStep, res.Err)
+			}
+			if vr := res.Metrics.VectorizedRows; (vr > 0) == noVec {
+				t.Fatalf("%s (novec=%t): %d vectorized rows", strat, noVec, vr)
+			}
+			got := make(value.Bag, 0)
+			for _, r := range res.Output.Collect() {
+				got = append(got, value.Tuple(r))
+			}
+			if !approxEqualBags(got, want, 1e-9) {
+				t.Fatalf("%s (novec=%t) pipeline output differs from oracle:\n got %s\nwant %s",
+					strat, noVec, value.Format(got), value.Format(want))
+			}
+		}
+	}
+}

@@ -66,8 +66,12 @@ func TestAnalyzeRowConservation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
+		rows, err := cq.InputRows(inputs)
+		if err != nil {
+			t.Fatalf("%s: %v", strat, err)
+		}
 		a := plan.NewAnalysis()
-		res := cq.ExecuteWithOpts(context.Background(), inputs, NewRunContext(cfg, strat), ExecOptions{Analysis: a})
+		res := cq.ExecuteRowsOpts(context.Background(), rows, NewRunContext(cfg, strat), ExecOptions{Analysis: a})
 		if res.Failed() {
 			t.Fatalf("%s: %v", strat, res.Err)
 		}
@@ -142,8 +146,12 @@ func TestExplainAnalyzeRendering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows, err := cq.InputRows(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	a := plan.NewAnalysis()
-	res := cq.ExecuteWithOpts(context.Background(), inputs, NewRunContext(cfg, Standard), ExecOptions{Analysis: a})
+	res := cq.ExecuteRowsOpts(context.Background(), rows, NewRunContext(cfg, Standard), ExecOptions{Analysis: a})
 	if res.Failed() {
 		t.Fatal(res.Err)
 	}
@@ -154,7 +162,7 @@ func TestExplainAnalyzeRendering(t *testing.T) {
 		}
 	}
 
-	plain := cq.Execute(context.Background(), inputs, NewRunContext(cfg, Standard))
+	plain := cq.ExecuteRows(context.Background(), rows, NewRunContext(cfg, Standard))
 	if plain.Failed() {
 		t.Fatal(plain.Err)
 	}
@@ -163,7 +171,7 @@ func TestExplainAnalyzeRendering(t *testing.T) {
 	}
 }
 
-// TestAnalyzeOffLeavesNoTrace: the default Execute path must not allocate or
+// TestAnalyzeOffLeavesNoTrace: a run without options must not allocate or
 // attach any analysis state.
 func TestAnalyzeOffLeavesNoTrace(t *testing.T) {
 	inputs := map[string]value.Bag{"COP": testdata.SmallCOP(), "Part": testdata.SmallPart()}
@@ -172,7 +180,11 @@ func TestAnalyzeOffLeavesNoTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := cq.Execute(context.Background(), inputs, NewRunContext(cfg, Standard))
+	rows, err := cq.InputRows(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := cq.ExecuteRowsOpts(context.Background(), rows, NewRunContext(cfg, Standard), ExecOptions{})
 	if res.Failed() {
 		t.Fatal(res.Err)
 	}

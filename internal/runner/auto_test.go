@@ -202,7 +202,11 @@ func TestAutoFallsBackWhenShredFails(t *testing.T) {
 		t.Fatalf("fallback not recorded in reasons: %v", cq.AutoReasons)
 	}
 	// The fallback artifact must actually run.
-	res := cq.Execute(context.Background(), map[string]value.Bag{"RN": rn}, runner.NewRunContext(cfg, cq.Strategy))
+	rows, err := cq.InputRows(map[string]value.Bag{"RN": rn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := cq.ExecuteRowsOpts(context.Background(), rows, runner.NewRunContext(cfg, cq.Strategy), runner.ExecOptions{})
 	if res.Err != nil {
 		t.Fatalf("fallback execution failed: %v", res.Err)
 	}

@@ -21,7 +21,7 @@ import (
 // strategy, config) combination: the pruned standard plan, or the
 // materialized shredded program with its compiled statements and (for
 // unshredding strategies) the pruned unshred plan. A Compiled is immutable
-// after Compile returns and safe to Execute from many goroutines at once
+// after Compile returns and safe to execute from many goroutines at once
 // over different inputs — plan operators and their scalar expressions are
 // pure, and every run gets its own executor and dataflow context.
 type Compiled struct {
@@ -170,7 +170,7 @@ func (cq *Compiled) compileStandard(q nrc.Expr) error {
 // vectorize records the vectorizer's per-operator verdicts on a finished plan
 // (rendered by Explain, counted in /metrics) unless the ablation knob is on.
 // The executor consults the same compiler at run time, so the annotation is
-// exactly what ExecuteRows will do. The pre-optimizer copy kept for Explain
+// exactly what ExecuteRowsOpts will do. The pre-optimizer copy kept for Explain
 // diffs is annotated too (without counting), so before/after trees compare
 // under the same notation.
 func (cq *Compiled) vectorize(op, raw plan.Op) {
@@ -262,11 +262,11 @@ func NewRunContext(cfg Config, strat Strategy) *dataflow.Context {
 	return ctx
 }
 
-// InputRows converts nested inputs into the engine rows Execute binds:
+// InputRows converts nested inputs into the engine rows ExecuteRowsOpts binds:
 // top-level rows for standard routes, value-shredded component rows for
 // shredded routes. The conversion depends only on the route and the input
 // environment, so callers evaluating a fixed dataset repeatedly (a serving
-// process) compute it once and pass the result to ExecuteRows. The returned
+// process) compute it once and pass the result to every run. The returned
 // rows are never mutated by the engine and may be shared by any number of
 // concurrent executions.
 func (cq *Compiled) InputRows(inputs map[string]value.Bag) (map[string][]dataflow.Row, error) {
@@ -309,32 +309,13 @@ func (cq *Compiled) InputRowsOne(name string, b value.Bag) (rows map[string][]da
 	return rows, nil
 }
 
-// Execute evaluates the compiled artifacts over one set of inputs on the
-// given dataflow context: InputRows + ExecuteRows. It never shares mutable
-// state with other executions of the same Compiled, so any number may run
-// concurrently; panics anywhere in execution degrade to Result.Err. The
-// context's cancellation is honored between statements (best effort — an
-// individual statement runs to completion).
-func (cq *Compiled) Execute(ctx context.Context, inputs map[string]value.Bag, dctx *dataflow.Context) *Result {
-	return cq.ExecuteWithOpts(ctx, inputs, dctx, ExecOptions{})
-}
-
-// ExecuteWithOpts is Execute with observability options.
-func (cq *Compiled) ExecuteWithOpts(ctx context.Context, inputs map[string]value.Bag, dctx *dataflow.Context, opts ExecOptions) *Result {
-	rows, err := cq.InputRows(inputs)
-	if err != nil {
-		return &Result{Strategy: cq.Strategy, Mat: cq.Mat, Err: err, Metrics: dctx.Metrics.Snapshot()}
-	}
-	return cq.ExecuteRowsOpts(ctx, rows, cq.BuildIndexes(inputs), dctx, opts)
-}
-
 // BuildIndexes constructs secondary-index sets for every input column the
-// compile-time statistics flag as indexed, keyed for this compilation's route
-// (see MapIndexes). It returns nil when no plan of this compilation carries
-// an IndexScan, so callers without index scans pay nothing. Serving callers
-// reuse the catalog's persistent indexes instead (see trance.Session);
-// IndexScan degrades to a full scan plus its span predicate when executed
-// without them, so passing nil is always sound.
+// compile-time statistics flag as indexed, keyed by input name (the form
+// ExecOptions.Indexes takes). It returns nil when no plan of this compilation
+// carries an IndexScan, so callers without index scans pay nothing. Serving
+// callers reuse the catalog's persistent indexes instead (see
+// trance.Session); IndexScan degrades to a full scan plus its span predicate
+// when executed without them, so passing nil is always sound.
 func (cq *Compiled) BuildIndexes(inputs map[string]value.Bag) map[string]*index.Set {
 	if cq.Idx.Planned == 0 {
 		return nil
@@ -382,7 +363,7 @@ func (cq *Compiled) BuildIndexes(inputs map[string]value.Bag) map[string]*index.
 			byDataset[name] = set
 		}
 	}
-	return cq.MapIndexes(byDataset)
+	return byDataset
 }
 
 // colOffset finds a top-level scalar column's tuple offset ("_value" for
@@ -402,13 +383,13 @@ func colOffset(bt nrc.BagType, col string) int {
 	return -1
 }
 
-// MapIndexes re-keys per-dataset index sets for this compilation's route:
+// mapIndexes re-keys per-dataset index sets for this compilation's route:
 // dataset names on standard routes, shredded top-component names on shredded
 // routes. The mapping is sound because value shredding preserves top-level
 // row order and keeps scalar columns in place (bags become labels), so the
 // positions and keys of a dataset index address the top dictionary's rows
 // verbatim.
-func (cq *Compiled) MapIndexes(byDataset map[string]*index.Set) map[string]*index.Set {
+func (cq *Compiled) mapIndexes(byDataset map[string]*index.Set) map[string]*index.Set {
 	if len(byDataset) == 0 {
 		return nil
 	}
@@ -422,22 +403,20 @@ func (cq *Compiled) MapIndexes(byDataset map[string]*index.Set) map[string]*inde
 	return out
 }
 
-// ExecuteRows is Execute over pre-converted input rows (see InputRows).
-// Input preparation stays outside the timed region either way — the paper
-// reports runtime after caching all inputs.
+// ExecuteRows is ExecuteRowsOpts without options: no indexes, no analysis,
+// no trace span.
 func (cq *Compiled) ExecuteRows(ctx context.Context, rows map[string][]dataflow.Row, dctx *dataflow.Context) *Result {
-	return cq.ExecuteRowsIndexed(ctx, rows, nil, dctx)
+	return cq.ExecuteRowsOpts(ctx, rows, dctx, ExecOptions{})
 }
 
-// ExecuteRowsIndexed is ExecuteRows with bound secondary indexes, keyed like
-// rows (see MapIndexes). IndexScan nodes resolve spans against them; inputs
-// without a usable entry fall back to full scans plus the span predicate.
-func (cq *Compiled) ExecuteRowsIndexed(ctx context.Context, rows map[string][]dataflow.Row, idxs map[string]*index.Set, dctx *dataflow.Context) *Result {
-	return cq.ExecuteRowsOpts(ctx, rows, idxs, dctx, ExecOptions{})
-}
-
-// ExecOptions carries per-execution observability hooks.
+// ExecOptions carries the optional per-execution inputs: bound indexes and
+// observability hooks.
 type ExecOptions struct {
+	// Indexes are secondary-index sets keyed by input (dataset) name, as
+	// BuildIndexes returns them; the executor re-keys them for the route.
+	// IndexScan nodes resolve spans against them; inputs without a usable
+	// entry fall back to full scans plus the span predicate.
+	Indexes map[string]*index.Set
 	// Analysis, when non-nil, collects per-operator runtime statistics
 	// (EXPLAIN ANALYZE) into the given collector; the Result carries it as
 	// Result.Analyze. Nil leaves execution uninstrumented.
@@ -446,8 +425,14 @@ type ExecOptions struct {
 	Span *trace.Span
 }
 
-// ExecuteRowsOpts is ExecuteRowsIndexed with observability options.
-func (cq *Compiled) ExecuteRowsOpts(ctx context.Context, rows map[string][]dataflow.Row, idxs map[string]*index.Set, dctx *dataflow.Context, opts ExecOptions) *Result {
+// ExecuteRowsOpts evaluates the compiled artifacts over input rows converted
+// by InputRows on the given dataflow context. Input preparation stays
+// outside the timed region — the paper reports runtime after caching all
+// inputs. It never shares mutable state with other executions of the same
+// Compiled, so any number may run concurrently; panics anywhere in execution
+// degrade to Result.Err. The context's cancellation is honored between
+// statements (best effort — an individual statement runs to completion).
+func (cq *Compiled) ExecuteRowsOpts(ctx context.Context, rows map[string][]dataflow.Row, dctx *dataflow.Context, opts ExecOptions) *Result {
 	res := &Result{Strategy: cq.Strategy, Mat: cq.Mat, Analyze: opts.Analysis}
 	func() {
 		var err error
@@ -457,18 +442,25 @@ func (cq *Compiled) ExecuteRowsOpts(ctx context.Context, rows map[string][]dataf
 			}
 		}()
 		defer recoverTo(&err, "execute")
-		ex := exec.New(dctx)
-		ex.SkewAware = cq.Strategy.skewAware()
-		ex.Vectorize = !cq.Cfg.NoVectorize
-		ex.Indexes = idxs
-		ex.Analysis = opts.Analysis
-		for name, r := range rows {
-			ex.BindRows(name, r)
-		}
-		cq.runOn(ctx, ex, res, opts.Span)
+		cq.runOn(ctx, cq.newExecutor(dctx, rows, opts), res, opts.Span)
 	}()
 	res.Metrics = dctx.Metrics.Snapshot()
 	return res
+}
+
+// newExecutor sets up the executor of one run of this compilation's route:
+// skew-aware operators, vectorization, bound indexes, analysis, and the
+// input rows. Compiled and CompiledPipeline runs both build theirs here.
+func (cq *Compiled) newExecutor(dctx *dataflow.Context, rows map[string][]dataflow.Row, opts ExecOptions) *exec.Executor {
+	ex := exec.New(dctx)
+	ex.SkewAware = cq.Strategy.skewAware()
+	ex.Vectorize = !cq.Cfg.NoVectorize
+	ex.Indexes = cq.mapIndexes(opts.Indexes)
+	ex.Analysis = opts.Analysis
+	for name, r := range rows {
+		ex.BindRows(name, r)
+	}
+	return ex
 }
 
 // runOn evaluates the compiled plans on an existing executor. Pipelines use
@@ -556,7 +548,7 @@ func (cq *Compiled) executeShredded(ctx context.Context, ex *exec.Executor, res 
 }
 
 // OutputPlan returns the plan whose column schema matches the Output dataset
-// Execute produces: the standard plan, the unshred plan, or the shredded
+// ExecuteRowsOpts produces: the standard plan, the unshred plan, or the shredded
 // program's top assignment.
 func (cq *Compiled) OutputPlan() plan.Op {
 	switch {

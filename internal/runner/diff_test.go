@@ -500,7 +500,13 @@ func runDifferential(data []byte, strict bool) (optimized, vectorized, indexed i
 						}
 						indexed++
 					}
-					res := cq.Execute(context.Background(), inputs, runner.NewRunContext(cfg, cq.Strategy))
+					rows, rerr := cq.InputRows(inputs)
+					if rerr != nil {
+						return optimized, vectorized, indexed, fmt.Errorf("%s (full=%t, vec=%t, noidx=%t) inputs: %v\n%s",
+							strat, full, vec, noIdx, rerr, nrc.Print(q))
+					}
+					res := cq.ExecuteRowsOpts(context.Background(), rows, runner.NewRunContext(cfg, cq.Strategy),
+						runner.ExecOptions{Indexes: cq.BuildIndexes(inputs)})
 					if res.Failed() {
 						return optimized, vectorized, indexed, fmt.Errorf("%s (full=%t, vec=%t, noidx=%t) failed: %v\n%s",
 							strat, full, vec, noIdx, res.Err, nrc.Print(q))
@@ -617,9 +623,13 @@ func TestAnalyzeStableAcrossRoutes(t *testing.T) {
 				if cerr != nil {
 					t.Fatalf("seed %d (vec=%t, noidx=%t): compile: %v", seed, vec, noIdx, cerr)
 				}
+				rows, rerr := cq.InputRows(inputs)
+				if rerr != nil {
+					t.Fatalf("seed %d (vec=%t, noidx=%t): inputs: %v", seed, vec, noIdx, rerr)
+				}
 				a := plan.NewAnalysis()
-				res := cq.ExecuteWithOpts(context.Background(), inputs,
-					runner.NewRunContext(cfg, cq.Strategy), runner.ExecOptions{Analysis: a})
+				res := cq.ExecuteRowsOpts(context.Background(), rows, runner.NewRunContext(cfg, cq.Strategy),
+					runner.ExecOptions{Indexes: cq.BuildIndexes(inputs), Analysis: a})
 				if res.Failed() {
 					t.Fatalf("seed %d (vec=%t, noidx=%t): %v", seed, vec, noIdx, res.Err)
 				}

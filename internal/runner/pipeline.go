@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"github.com/trance-go/trance/internal/dataflow"
-	"github.com/trance-go/trance/internal/exec"
-	"github.com/trance-go/trance/internal/index"
 	"github.com/trance-go/trance/internal/nrc"
 	"github.com/trance-go/trance/internal/shred"
 	"github.com/trance-go/trance/internal/value"
@@ -119,7 +117,7 @@ type CompiledStep struct {
 }
 
 // CompiledPipeline holds the per-step compiled artifacts of a pipeline. Like
-// Compiled, it is immutable after construction and safe to Execute from many
+// Compiled, it is immutable after construction and safe to execute from many
 // goroutines at once over different inputs.
 type CompiledPipeline struct {
 	Strategy Strategy
@@ -149,31 +147,13 @@ func CompilePipeline(steps []PipelineStep, env nrc.Env, strat Strategy, cfg Conf
 	return cp, nil
 }
 
-// Execute runs the compiled steps in order over one set of inputs on the
-// given dataflow context: InputRows + ExecuteRows. All steps share one
-// executor, so each step's output — the nested dataset on standard routes,
-// the materialized shredded components on shredded routes — is visible to
-// later steps without re-conversion. Input preparation stays outside the
-// timed region.
-func (cp *CompiledPipeline) Execute(ctx context.Context, inputs map[string]value.Bag, dctx *dataflow.Context) *PipelineResult {
-	rows, err := cp.Steps[0].CQ.InputRows(inputs)
-	if err != nil {
-		return &PipelineResult{Strategy: cp.Strategy, FailedStep: 0, Err: err, Metrics: dctx.Metrics.Snapshot()}
-	}
-	return cp.ExecuteRows(ctx, rows, dctx)
-}
-
-// ExecuteRows is Execute over pre-converted input rows (the first step's
-// Compiled.InputRows); serving paths evaluating a fixed dataset repeatedly
-// compute the conversion once and pass it here.
-func (cp *CompiledPipeline) ExecuteRows(ctx context.Context, rows map[string][]dataflow.Row, dctx *dataflow.Context) *PipelineResult {
-	return cp.ExecuteRowsIndexed(ctx, rows, nil, dctx)
-}
-
-// ExecuteRowsIndexed is ExecuteRows with bound secondary indexes, keyed like
-// rows for the pipeline's route (see Compiled.MapIndexes); IndexScan nodes of
-// any step resolve spans against them.
-func (cp *CompiledPipeline) ExecuteRowsIndexed(ctx context.Context, rows map[string][]dataflow.Row, idxs map[string]*index.Set, dctx *dataflow.Context) *PipelineResult {
+// ExecuteRowsOpts runs the compiled steps in order over input rows converted
+// by the first step's Compiled.InputRows, on the given dataflow context. All
+// steps share one executor, built like the first step's own, so each step's
+// output — the nested dataset on standard routes, the materialized shredded
+// components on shredded routes — is visible to later steps without
+// re-conversion. Input preparation stays outside the timed region.
+func (cp *CompiledPipeline) ExecuteRowsOpts(ctx context.Context, rows map[string][]dataflow.Row, dctx *dataflow.Context, opts ExecOptions) *PipelineResult {
 	res := &PipelineResult{Strategy: cp.Strategy, FailedStep: -1}
 	func() {
 		var err error
@@ -185,16 +165,11 @@ func (cp *CompiledPipeline) ExecuteRowsIndexed(ctx context.Context, rows map[str
 		}()
 		defer recoverTo(&err, "pipeline execute")
 
-		ex := exec.New(dctx)
-		ex.SkewAware = cp.Strategy.skewAware()
-		ex.Indexes = idxs
-		for name, r := range rows {
-			ex.BindRows(name, r)
-		}
+		ex := cp.Steps[0].CQ.newExecutor(dctx, rows, opts)
 		for i, st := range cp.Steps {
 			step = i
 			sres := &Result{Strategy: st.CQ.Strategy, Mat: st.CQ.Mat}
-			st.CQ.runOn(ctx, ex, sres, nil)
+			st.CQ.runOn(ctx, ex, sres, opts.Span)
 			res.StepElapsed = append(res.StepElapsed, sres.Elapsed)
 			if sres.Err != nil {
 				err = fmt.Errorf("step %s: %w", st.Name, sres.Err)
@@ -232,5 +207,9 @@ func RunPipeline(steps []PipelineStep, env nrc.Env, inputs map[string]value.Bag,
 		}
 		return res
 	}
-	return cp.Execute(context.Background(), inputs, NewRunContext(cfg, strat))
+	rows, err := cp.Steps[0].CQ.InputRows(inputs)
+	if err != nil {
+		return &PipelineResult{Strategy: strat, FailedStep: 0, Err: err}
+	}
+	return cp.ExecuteRowsOpts(context.Background(), rows, NewRunContext(cfg, strat), ExecOptions{})
 }

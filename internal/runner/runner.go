@@ -245,15 +245,21 @@ type Result struct {
 // Failed reports whether the run crashed.
 func (r *Result) Failed() bool { return r.Err != nil }
 
-// Run executes the job under the given strategy: one-shot compile + execute.
-// Serving paths that evaluate the same query repeatedly should Compile once
-// and Execute per request instead (the root package's Prepare API does).
+// Run executes the job under the given strategy: one-shot compile, input
+// conversion, index build and execution. Serving paths that evaluate the
+// same query repeatedly should Compile once and ExecuteRowsOpts per request
+// instead (the root package's Prepare API does).
 func Run(job Job, strat Strategy, cfg Config) *Result {
 	cq, err := Compile(job.Query, job.Env, strat, cfg)
 	if err != nil {
 		return &Result{Strategy: strat, Err: err}
 	}
-	return cq.Execute(context.Background(), job.Inputs, NewRunContext(cfg, strat))
+	rows, err := cq.InputRows(job.Inputs)
+	if err != nil {
+		return &Result{Strategy: cq.Strategy, Mat: cq.Mat, Err: err}
+	}
+	return cq.ExecuteRowsOpts(context.Background(), rows, NewRunContext(cfg, strat),
+		ExecOptions{Indexes: cq.BuildIndexes(job.Inputs)})
 }
 
 func rowsOf(b value.Bag) []dataflow.Row {

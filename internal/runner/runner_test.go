@@ -177,8 +177,12 @@ func TestCompileOnceExecuteMany(t *testing.T) {
 		if want.Failed() {
 			t.Fatalf("%s run: %v", strat, want.Err)
 		}
+		rows, err := cq.InputRows(inputs)
+		if err != nil {
+			t.Fatalf("%s: %v", strat, err)
+		}
 		for i := 0; i < 2; i++ {
-			res := cq.Execute(context.Background(), inputs, NewRunContext(cfg, strat))
+			res := cq.ExecuteRowsOpts(context.Background(), rows, NewRunContext(cfg, strat), ExecOptions{})
 			if res.Failed() {
 				t.Fatalf("%s execute %d: %v", strat, i, res.Err)
 			}
@@ -222,9 +226,13 @@ func TestExecuteHonorsCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows, err := cq.InputRows(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := cq.Execute(ctx, inputs, NewRunContext(DefaultConfig(), Shred))
+	res := cq.ExecuteRowsOpts(ctx, rows, NewRunContext(DefaultConfig(), Shred), ExecOptions{})
 	if !res.Failed() || !errors.Is(res.Err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", res.Err)
 	}

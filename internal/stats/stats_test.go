@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/trance-go/trance/internal/dataflow"
@@ -230,5 +231,45 @@ func TestCollectDeterministic(t *testing.T) {
 	cb, _ := c.Column("k")
 	if ca.NDV != cb.NDV || ca.HeavyFraction != cb.HeavyFraction || len(ca.Heavy) != len(cb.Heavy) {
 		t.Fatalf("collection not deterministic: %+v vs %+v", ca, cb)
+	}
+}
+
+// TestSelectiveColumnsBoundaries: both auto-index thresholds are inclusive —
+// a table of exactly MinIndexRows rows qualifies, and so does a column of
+// exactly MinIndexNDV distinct values; one below either does not.
+func TestSelectiveColumnsBoundaries(t *testing.T) {
+	cols := []Column{
+		{Name: "at", NDV: MinIndexNDV},
+		{Name: "below", NDV: MinIndexNDV - 1},
+		{Name: "above", NDV: MinIndexNDV + 1},
+	}
+	at := &Table{Rows: MinIndexRows, Columns: cols}
+	if got := at.SelectiveColumns(); !reflect.DeepEqual(got, []string{"at", "above"}) {
+		t.Fatalf("rows=MinIndexRows: got %v, want [at above]", got)
+	}
+	below := &Table{Rows: MinIndexRows - 1, Columns: cols}
+	if got := below.SelectiveColumns(); got != nil {
+		t.Fatalf("rows=MinIndexRows-1: got %v, want none", got)
+	}
+	if got := (&Table{Rows: MinIndexRows}).SelectiveColumns(); got != nil {
+		t.Fatalf("no columns: got %v, want none", got)
+	}
+}
+
+// TestMaxHeavyFraction: the table-level skew signal is the maximum over the
+// columns, wherever the heaviest column sits, and 0 for a table without
+// columns.
+func TestMaxHeavyFraction(t *testing.T) {
+	if got := (&Table{}).MaxHeavyFraction(); got != 0 {
+		t.Fatalf("empty table: got %g, want 0", got)
+	}
+	for _, fs := range [][]float64{{0.4, 0.1, 0}, {0.1, 0.4, 0}, {0, 0.1, 0.4}} {
+		tab := &Table{}
+		for _, f := range fs {
+			tab.Columns = append(tab.Columns, Column{HeavyFraction: f})
+		}
+		if got := tab.MaxHeavyFraction(); got != 0.4 {
+			t.Fatalf("%v: got %g, want 0.4", fs, got)
+		}
 	}
 }

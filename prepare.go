@@ -213,63 +213,23 @@ func namedSchema(cols []OutputColumn, outType Type, strat Strategy) []OutputColu
 	return cols
 }
 
-// ExplainOption configures PreparedQuery.Explain.
-type ExplainOption func(*explainOptions)
-
-type explainOptions struct {
-	analyze bool
-	inputs  map[string]Bag
-	data    *PreparedData
-}
-
-// WithAnalyze makes Explain execute the query over the given inputs and
-// annotate every plan operator with the observed runtime statistics — actual
-// rows in/out, wall time, batch counts, index probe outcomes — beside the
-// static cost annotations, followed by a per-join/per-scan q-error summary
-// (EXPLAIN ANALYZE).
-func WithAnalyze(inputs map[string]Bag) ExplainOption {
-	return func(o *explainOptions) { o.analyze, o.inputs = true, inputs }
-}
-
-// WithAnalyzeBound is WithAnalyze over data bound with BindData: the serving
-// path, where input conversion is cached and catalog indexes are bound.
-func WithAnalyzeBound(data *PreparedData) ExplainOption {
-	return func(o *explainOptions) { o.analyze, o.data = true, data }
-}
-
 // Explain compiles the strategy if needed and renders every plan of the
 // compiled artifact before and after the rule-based optimizer pass
 // (predicate pushdown, select fusion, constant folding), plus the
 // optimizer's rule-hit counters — the text behind `trance query -explain`
-// and the tranced GET /explain route. With WithAnalyze/WithAnalyzeBound the
-// query is additionally executed and the plans are rendered with per-operator
-// runtime statistics and a q-error summary.
-func (pq *PreparedQuery) Explain(strat Strategy, opts ...ExplainOption) (string, error) {
-	var o explainOptions
-	for _, fn := range opts {
-		fn(&o)
-	}
+// and the tranced GET /explain route. SessionQuery.ExplainAnalyze executes
+// the query and renders the plans with runtime statistics instead.
+func (pq *PreparedQuery) Explain(strat Strategy) (string, error) {
 	cq, err := pq.compiled(strat)
 	if err != nil {
 		return "", fmt.Errorf("%s (%s): %w", pq.label(), strat, err)
 	}
-	if !o.analyze {
-		return cq.Explain(), nil
-	}
-	var res *Result
-	if o.data != nil {
-		res, err = pq.runBound(context.Background(), o.data, strat, true)
-	} else {
-		res, err = pq.run(context.Background(), o.inputs, strat, true)
-	}
-	if err != nil {
-		return "", err
-	}
-	return cq.ExplainAnalyze(res), nil
+	return cq.Explain(), nil
 }
 
-// ExplainAnalyzeResult renders the analyzed plans of a Result produced by
-// RunAnalyzed/RunBoundAnalyzed under the same strategy, without re-running.
+// ExplainAnalyzeResult renders the analyzed plans of a Result produced by an
+// instrumented run under the same strategy (SessionQuery.RunJSONFull with
+// analyze set), without re-running.
 func (pq *PreparedQuery) ExplainAnalyzeResult(strat Strategy, res *Result) (string, error) {
 	cq, err := pq.compiled(strat)
 	if err != nil {
@@ -279,43 +239,12 @@ func (pq *PreparedQuery) ExplainAnalyzeResult(strat Strategy, res *Result) (stri
 }
 
 // Run evaluates the prepared query under the strategy over one set of
-// inputs. The compiled plans are looked up in the compilation cache (and
-// compiled on first use); execution runs on a fresh dataflow context drawing
-// workers from the prepared query's shared pool. Compile errors and
-// exec-time failures (including recovered panics) are returned as errors —
-// when the returned Result is non-nil its Metrics and Elapsed are valid even
-// on failure. Cancellation of ctx is honored between plan statements.
-//
-// Run converts the nested inputs into engine rows on every call
-// (value-shredding them on shredded routes); when the same dataset is
-// evaluated repeatedly, BindData + RunBound amortize that conversion too.
+// inputs: RunBound over freshly bound data, so it converts the nested inputs
+// into engine rows (value-shredding them on shredded routes) and builds the
+// secondary indexes the plans scan on every call. When the same dataset is
+// evaluated repeatedly, BindData + RunBound amortize both.
 func (pq *PreparedQuery) Run(ctx context.Context, inputs map[string]Bag, strat Strategy) (*Result, error) {
-	return pq.run(ctx, inputs, strat, false)
-}
-
-// RunAnalyzed is Run with EXPLAIN ANALYZE instrumentation: the execution
-// collects per-operator runtime statistics into Result.Analyze, renderable
-// with ExplainAnalyzeResult. The instrumented run is slightly slower; leave
-// it off on hot paths.
-func (pq *PreparedQuery) RunAnalyzed(ctx context.Context, inputs map[string]Bag, strat Strategy) (*Result, error) {
-	return pq.run(ctx, inputs, strat, true)
-}
-
-func (pq *PreparedQuery) run(ctx context.Context, inputs map[string]Bag, strat Strategy, analyze bool) (*Result, error) {
-	cq, err := pq.tracedCompile(ctx, strat)
-	if err != nil {
-		return nil, fmt.Errorf("%s (%s): %w", pq.label(), strat, err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	opts, finish := execOptions(ctx, analyze)
-	res := cq.ExecuteWithOpts(ctx, inputs, pq.runContext(strat), opts)
-	finish(res)
-	if res.Err != nil {
-		return res, fmt.Errorf("%s (%s): %w", pq.label(), strat, res.Err)
-	}
-	return res, nil
+	return pq.RunBound(ctx, pq.BindData(inputs), strat)
 }
 
 // tracedCompile resolves the compiled artifact for the strategy, recording a
@@ -336,12 +265,12 @@ func (pq *PreparedQuery) tracedCompile(ctx context.Context, strat Strategy) (*ru
 	return cq, err
 }
 
-// execOptions builds the runner ExecOptions for one evaluation: an Analysis
-// collector when analyze is on, and an execute span when the context carries
-// a trace. The returned finish ends the span and stamps the trace ID onto
-// the result.
-func execOptions(ctx context.Context, analyze bool) (runner.ExecOptions, func(*Result)) {
-	var opts runner.ExecOptions
+// execOptions builds the runner ExecOptions for one evaluation: the bound
+// indexes, an Analysis collector when analyze is on, and an execute span
+// when the context carries a trace. The returned finish ends the span and
+// stamps the trace ID onto the result.
+func execOptions(ctx context.Context, idxs map[string]*index.Set, analyze bool) (runner.ExecOptions, func(*Result)) {
+	opts := runner.ExecOptions{Indexes: idxs}
 	if analyze {
 		opts.Analysis = plan.NewAnalysis()
 	}
@@ -378,23 +307,17 @@ type PreparedData struct {
 	// falls back to the compiled query's own whole-map conversion.
 	convert func(cq *runner.Compiled, name string, b Bag) (map[string][]dataflow.Row, error)
 
-	// idxs are the secondary indexes of the bound datasets, keyed by variable
-	// name (sessions fill them from the catalog). RunBound re-keys them for
-	// the route and binds them so IndexScan plans resolve spans against them;
-	// nil makes every IndexScan fall back to a full scan plus its predicate.
-	idxs map[string]*index.Set
-
 	mu      sync.Mutex
 	byRoute map[bool]*preparedRows // IsShredded → converted rows
-}
 
-// indexesFor returns the bound secondary indexes keyed for the compilation's
-// route (nil when the data has none).
-func (pd *PreparedData) indexesFor(cq *runner.Compiled) map[string]*index.Set {
-	if len(pd.idxs) == 0 {
-		return nil
-	}
-	return cq.MapIndexes(pd.idxs)
+	// idxs are the secondary indexes of the bound datasets, keyed by variable
+	// name; runs bind them so IndexScan plans resolve spans against them, and
+	// nil makes every IndexScan fall back to a full scan plus its predicate.
+	// Sessions install the catalog's indexes. Data bound with BindData
+	// (buildIdxs set) builds them from the compile-time statistics on the
+	// first run whose plans scan an index.
+	idxs      map[string]*index.Set
+	buildIdxs bool
 }
 
 type preparedRows struct {
@@ -410,15 +333,20 @@ func (pq *PreparedQuery) BindData(inputs map[string]Bag) *PreparedData {
 }
 
 func newPreparedData(inputs map[string]Bag) *PreparedData {
-	return &PreparedData{raw: inputs, byRoute: map[bool]*preparedRows{}}
+	return &PreparedData{raw: inputs, byRoute: map[bool]*preparedRows{}, buildIdxs: true}
 }
 
-func (pd *PreparedData) rowsFor(cq *runner.Compiled) (map[string][]dataflow.Row, error) {
+// bind returns the engine rows and the secondary indexes for the
+// compilation's route, converting and building each at most once.
+func (pd *PreparedData) bind(cq *runner.Compiled) (map[string][]dataflow.Row, map[string]*index.Set, error) {
 	key := cq.Strategy.IsShredded()
 	pd.mu.Lock()
 	defer pd.mu.Unlock()
+	if pd.buildIdxs && cq.Idx.Planned > 0 {
+		pd.idxs, pd.buildIdxs = cq.BuildIndexes(pd.raw), false
+	}
 	if e, ok := pd.byRoute[key]; ok {
-		return e.rows, e.err
+		return e.rows, pd.idxs, e.err
 	}
 	var rows map[string][]dataflow.Row
 	var err error
@@ -438,29 +366,33 @@ func (pd *PreparedData) rowsFor(cq *runner.Compiled) (map[string][]dataflow.Row,
 		}
 	}
 	pd.byRoute[key] = &preparedRows{rows: rows, err: err}
-	return rows, err
+	return rows, pd.idxs, err
 }
 
-// RunBound is Run over data bound once with BindData: input conversion is
-// cached per route, so the serving hot path does no per-request shredding.
-// The data must have been bound by a query with the same input environment.
+// RunBound evaluates the prepared query under the strategy over data bound
+// once with BindData. The compiled plans are looked up in the compilation
+// cache (and compiled on first use); input conversion is cached per route,
+// so the serving hot path does no per-request shredding; execution runs on a
+// fresh dataflow context drawing workers from the prepared query's shared
+// pool. Compile errors and exec-time failures (including recovered panics)
+// are returned as errors — when the returned Result is non-nil its Metrics
+// and Elapsed are valid even on failure. Cancellation of ctx is honored
+// between plan statements. The data must have been bound by a query with
+// the same input environment.
 func (pq *PreparedQuery) RunBound(ctx context.Context, data *PreparedData, strat Strategy) (*Result, error) {
 	return pq.runBound(ctx, data, strat, false)
 }
 
-// RunBoundAnalyzed is RunBound with EXPLAIN ANALYZE instrumentation (see
-// RunAnalyzed).
-func (pq *PreparedQuery) RunBoundAnalyzed(ctx context.Context, data *PreparedData, strat Strategy) (*Result, error) {
-	return pq.runBound(ctx, data, strat, true)
-}
-
+// runBound is RunBound, with EXPLAIN ANALYZE instrumentation when analyze is
+// set: the execution collects per-operator runtime statistics into
+// Result.Analyze, renderable with ExplainAnalyzeResult.
 func (pq *PreparedQuery) runBound(ctx context.Context, data *PreparedData, strat Strategy, analyze bool) (*Result, error) {
 	cq, err := pq.tracedCompile(ctx, strat)
 	if err != nil {
 		return nil, fmt.Errorf("%s (%s): %w", pq.label(), strat, err)
 	}
 	bsp := trace.From(ctx).Span().Child("bind")
-	rows, err := data.rowsFor(cq)
+	rows, idxs, err := data.bind(cq)
 	bsp.End()
 	if err != nil {
 		return nil, fmt.Errorf("%s (%s): prepare inputs: %w", pq.label(), strat, err)
@@ -468,8 +400,8 @@ func (pq *PreparedQuery) runBound(ctx context.Context, data *PreparedData, strat
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	opts, finish := execOptions(ctx, analyze)
-	res := cq.ExecuteRowsOpts(ctx, rows, data.indexesFor(cq), pq.runContext(strat), opts)
+	opts, finish := execOptions(ctx, idxs, analyze)
+	res := cq.ExecuteRowsOpts(ctx, rows, pq.runContext(strat), opts)
 	finish(res)
 	if res.Err != nil {
 		return res, fmt.Errorf("%s (%s): %w", pq.label(), strat, res.Err)

@@ -149,25 +149,10 @@ func (pp *PreparedPipeline) OutputSchema(strat Strategy) ([]OutputColumn, error)
 }
 
 // Run executes the prepared pipeline under the strategy over one set of
-// inputs: compiled plans from the cache, execution on a fresh dataflow
-// context drawing workers from the shared pool, panics degraded to errors.
-// When the returned PipelineResult is non-nil its Metrics, StepElapsed and
-// FailedStep are valid even on failure.
+// inputs: RunBound over freshly bound data, so the inputs are converted into
+// engine rows on every call.
 func (pp *PreparedPipeline) Run(ctx context.Context, inputs map[string]Bag, strat Strategy) (*PipelineResult, error) {
-	cp, err := pp.compiled(strat)
-	if err != nil {
-		return nil, fmt.Errorf("%s (%s): %w", pp.label(), strat, err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	dctx := runner.NewRunContext(pp.cfg, strat)
-	dctx.SharedPool = pp.pool
-	res := cp.Execute(ctx, inputs, dctx)
-	if res.Err != nil {
-		return res, fmt.Errorf("%s (%s) step %d: %w", pp.label(), strat, res.FailedStep, res.Err)
-	}
-	return res, nil
+	return pp.RunBound(ctx, pp.BindData(inputs), strat)
 }
 
 // BindData associates datasets with the prepared pipeline for repeated
@@ -179,14 +164,18 @@ func (pp *PreparedPipeline) BindData(inputs map[string]Bag) *PreparedData {
 	return newPreparedData(inputs)
 }
 
-// RunBound is Run over data bound once with BindData: the serving hot path
-// does no per-request input conversion.
+// RunBound executes the prepared pipeline under the strategy over data bound
+// once with BindData: compiled plans from the cache, input conversion cached
+// per route, execution on a fresh dataflow context drawing workers from the
+// shared pool, panics degraded to errors. When the returned PipelineResult
+// is non-nil its Metrics, StepElapsed and FailedStep are valid even on
+// failure.
 func (pp *PreparedPipeline) RunBound(ctx context.Context, data *PreparedData, strat Strategy) (*PipelineResult, error) {
 	cp, err := pp.compiled(strat)
 	if err != nil {
 		return nil, fmt.Errorf("%s (%s): %w", pp.label(), strat, err)
 	}
-	rows, err := data.rowsFor(cp.Steps[0].CQ)
+	rows, idxs, err := data.bind(cp.Steps[0].CQ)
 	if err != nil {
 		return nil, fmt.Errorf("%s (%s): prepare inputs: %w", pp.label(), strat, err)
 	}
@@ -195,7 +184,7 @@ func (pp *PreparedPipeline) RunBound(ctx context.Context, data *PreparedData, st
 	}
 	dctx := runner.NewRunContext(pp.cfg, strat)
 	dctx.SharedPool = pp.pool
-	res := cp.ExecuteRowsIndexed(ctx, rows, data.indexesFor(cp.Steps[0].CQ), dctx)
+	res := cp.ExecuteRowsOpts(ctx, rows, dctx, runner.ExecOptions{Indexes: idxs})
 	if res.Err != nil {
 		return res, fmt.Errorf("%s (%s) step %d: %w", pp.label(), strat, res.FailedStep, res.Err)
 	}
