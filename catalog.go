@@ -365,7 +365,7 @@ func (c *Catalog) Append(name string, rows Bag) (DatasetInfo, error) {
 				if ci, err = index.Build(col, old.HasHash(), old.HasOrdered(), vals); err != nil {
 					continue
 				}
-				index.RecordRebuild()
+				index.Metrics.Rebuilt.Inc()
 			}
 			nidx.Put(ci)
 		}
@@ -520,7 +520,7 @@ func rebuildIndexes(old *index.Set, b Bag, bt nrc.BagType) *index.Set {
 		if err != nil {
 			continue
 		}
-		index.RecordRebuild()
+		index.Metrics.Rebuilt.Inc()
 		out.Put(ci)
 	}
 	return out

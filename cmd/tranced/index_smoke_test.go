@@ -91,12 +91,11 @@ func TestIndexServingSmoke(t *testing.T) {
 		t.Fatalf("point query: %v", out)
 	}
 
-	// The scan shows up in /metrics' index block.
+	// The scan shows up in the /metrics index families.
 	metrics := getJSON(t, ts, "/metrics", http.StatusOK)
-	idx := metrics["index"].(map[string]any)
-	if idx["built"].(float64) < 2 || idx["planned_scans"].(float64) < 1 ||
-		idx["scans"].(float64) < 1 || idx["rows_matched"].(float64) < 1 {
-		t.Fatalf("index metrics: %v", idx)
+	if metrics["trance_index_built_total"].(float64) < 2 || metrics["trance_index_planned_scans_total"].(float64) < 1 ||
+		metrics["trance_index_scans_total"].(float64) < 1 || metrics["trance_index_rows_matched_total"].(float64) < 1 {
+		t.Fatalf("index metrics: %v", metrics)
 	}
 
 	// Append two rows (one sharing id 7): the next request over the same
@@ -115,8 +114,8 @@ func TestIndexServingSmoke(t *testing.T) {
 		t.Fatalf("appended row not served: %v", out)
 	}
 	metrics = getJSON(t, ts, "/metrics", http.StatusOK)
-	if m := metrics["index"].(map[string]any); m["maintained"].(float64) < 1 {
-		t.Fatalf("append did not maintain indexes incrementally: %v", m)
+	if n := metrics["trance_index_maintained_total"].(float64); n < 1 {
+		t.Fatalf("append did not maintain indexes incrementally: %v", n)
 	}
 
 	// Delete by key: both id=7 rows go, and the served results follow.
@@ -128,7 +127,7 @@ func TestIndexServingSmoke(t *testing.T) {
 		t.Fatalf("deleted rows still served: %v", out)
 	}
 	metrics = getJSON(t, ts, "/metrics", http.StatusOK)
-	if m := metrics["index"].(map[string]any); m["rebuilt"].(float64) < 1 {
-		t.Fatalf("delete did not rebuild indexes: %v", m)
+	if n := metrics["trance_index_rebuilt_total"].(float64); n < 1 {
+		t.Fatalf("delete did not rebuild indexes: %v", n)
 	}
 }

@@ -183,21 +183,19 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	getJSON(t, ts, "/query?name=tpch/nested-to-nested&level=1&strategy=shred", http.StatusOK)
 	out := getJSON(t, ts, "/metrics", http.StatusOK)
-	cache := out["plan_cache"].(map[string]any)
-	if cache["compiles"].(float64) < 1 {
+	if out["trance_plan_cache_compiles_total"].(float64) < 1 {
 		t.Fatalf("plan cache shows no compilations: %v", out)
 	}
-	routes := out["routes"].(map[string]any)
-	route, ok := routes["tpch/nested-to-nested/L1/shred"].(map[string]any)
-	if !ok {
-		t.Fatalf("route stats missing: %v", routes)
+	const route = "tpch/nested-to-nested/L1/shred"
+	if _, ok := out["trance_route_requests_total"].(map[string]any)[route]; !ok {
+		t.Fatalf("route stats missing: %v", out["trance_route_requests_total"])
 	}
-	stages := route["stage_wall_ms"].([]any)
+	stages, _ := out["trance_route_stage_seconds_total"].(map[string]any)[route].(map[string]any)
 	if len(stages) == 0 {
 		t.Fatal("route should report per-stage wall times")
 	}
-	if route["shuffle_bytes"].(float64) <= 0 {
-		t.Fatalf("route should report shuffled bytes: %v", route)
+	if shuffled := out["trance_route_shuffle_bytes_total"].(map[string]any)[route]; shuffled.(float64) <= 0 {
+		t.Fatalf("route should report shuffled bytes: %v", shuffled)
 	}
 }
 
@@ -416,8 +414,8 @@ func TestDatasetUploadBounded(t *testing.T) {
 }
 
 // TestMetricsWhileRecordingNewRoutes runs /metrics concurrently with queries
-// that each create a new route entry, so under -race it catches any read of
-// the route map outside the server's lock. A fresh server guarantees the
+// that each create a new route series, so under -race it catches any read of
+// a family's series map outside its lock. A fresh server guarantees the
 // routes are new: recording an existing route does not write the map.
 func TestMetricsWhileRecordingNewRoutes(t *testing.T) {
 	cfg := defaultServerConfig()
@@ -476,7 +474,7 @@ func TestMetricsWhileRecordingNewRoutes(t *testing.T) {
 		}
 	}
 	out := getJSON(t, ts, "/metrics", http.StatusOK)
-	if got := len(out["routes"].(map[string]any)); got != len(routes) {
+	if got := len(out["trance_route_requests_total"].(map[string]any)); got != len(routes) {
 		t.Fatalf("metrics report %d routes, want %d", got, len(routes))
 	}
 }

@@ -1,13 +1,13 @@
 // Observability endpoints and helpers: per-request tracing (X-Trance-Trace-Id,
-// GET /trace/{id}, the slow-query log) and the Prometheus text exposition of
-// GET /metrics?format=prometheus. See docs/OBSERVABILITY.md.
+// GET /trace/{id}, the slow-query log) and the metric families behind
+// GET /metrics. See docs/OBSERVABILITY.md.
 package main
 
 import (
 	"bytes"
 	"log"
 	"net/http"
-	"sort"
+	"strings"
 	"time"
 
 	"github.com/trance-go/trance"
@@ -50,111 +50,63 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// writeMetricsProm renders the same counters handleMetrics serves as JSON in
-// the Prometheus text exposition format (version 0.0.4), hand-rolled via
-// internal/promtext: typed counter/gauge families plus one fixed-bucket
-// latency histogram per served route.
-func (s *server) writeMetricsProm(w http.ResponseWriter) {
-	cache := trance.PlanCacheStats()
-	opt := trance.OptimizerCounters()
-	vec := trance.VectorizeCounters()
-	idx := trance.IndexCounters()
+// serverMetrics are tranced's own metric families, declared once on a
+// per-server registry. GET /metrics renders them together with the library's
+// process-wide promtext.Default families.
+type serverMetrics struct {
+	reg               *promtext.Registry
+	requests          *promtext.Counter
+	routeRequests     *promtext.CounterVec
+	routeErrors       *promtext.CounterVec
+	routeShuffleBytes *promtext.CounterVec
+	routeLastLatency  *promtext.CounterVec
+	routeStageSeconds *promtext.CounterVec
+	routeLatency      *promtext.HistogramVec
+}
 
-	one := func(name, help, typ string, v float64) promtext.Family {
-		return promtext.Family{Name: name, Help: help, Type: typ, Samples: []promtext.Sample{{Value: v}}}
+func newServerMetrics(s *server) serverMetrics {
+	r := promtext.NewRegistry()
+	r.GaugeFunc("trance_uptime_seconds", "Seconds since the server started.",
+		func() float64 { return time.Since(s.started).Seconds() })
+	r.GaugeFunc("trance_workers", "Shared worker pool size.",
+		func() float64 { return float64(s.pool.Workers()) })
+	r.GaugeFunc("trance_datasets", "Datasets registered in the catalog.",
+		func() float64 { return float64(len(s.catalog.Names())) })
+	return serverMetrics{
+		reg:               r,
+		requests:          r.Counter("trance_requests_total", "HTTP requests received."),
+		routeRequests:     r.CounterVec("trance_route_requests_total", "Query requests by route (query/level/strategy).", "route"),
+		routeErrors:       r.CounterVec("trance_route_errors_total", "Failed query requests by route.", "route"),
+		routeShuffleBytes: r.CounterVec("trance_route_shuffle_bytes_total", "Engine bytes shuffled by route.", "route"),
+		routeLastLatency:  r.DurationVec("trance_route_last_latency_seconds", "Execution latency of the route's latest run.", "gauge", "route"),
+		routeStageSeconds: r.DurationVec("trance_route_stage_seconds_total", "Engine stage wall time by route and stage.", "counter", "route", "stage"),
+		routeLatency:      r.Histogram("trance_route_latency_seconds", "Query execution latency by route.", latencyBuckets, "route"),
 	}
-	fams := []promtext.Family{
-		one("trance_uptime_seconds", "Seconds since the server started.", "gauge", time.Since(s.started).Seconds()),
-		one("trance_requests_total", "HTTP requests received.", "counter", float64(s.requests.Load())),
-		one("trance_workers", "Shared worker pool size.", "gauge", float64(s.pool.Workers())),
-		one("trance_datasets", "Datasets registered in the catalog.", "gauge", float64(len(s.catalog.Names()))),
-		one("trance_plan_cache_entries", "Compiled (query, strategy) plans cached.", "gauge", float64(cache.Entries)),
-		one("trance_plan_cache_compiles_total", "Compilations performed.", "counter", float64(cache.Compiles)),
-		one("trance_plan_cache_hits_total", "Plan cache lookups served without compiling.", "counter", float64(cache.Hits)),
-		one("trance_plan_cache_evictions_total", "Plan cache entries evicted by the size bound.", "counter", float64(cache.Evictions)),
-	}
+}
 
-	auto := promtext.Family{Name: "trance_auto_strategy_total", Help: "Auto strategy resolutions by chosen route.", Type: "counter"}
-	autoCounts := trance.AutoCounters()
-	routesChosen := make([]string, 0, len(autoCounts))
-	for route := range autoCounts {
-		routesChosen = append(routesChosen, route)
+// handleMetrics renders every metric family — the library's promtext.Default
+// plus this server's registry — as JSON (the default) or, with
+// ?format=prometheus or a text/plain Accept header (what a Prometheus scraper
+// sends), in the text exposition format. Both formats render one gathering.
+func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	format := r.URL.Query().Get("format")
+	if format == "" && strings.Contains(r.Header.Get("Accept"), "text/plain") {
+		format = "prometheus"
 	}
-	sort.Strings(routesChosen)
-	for _, route := range routesChosen {
-		auto.Samples = append(auto.Samples, promtext.Sample{
-			Labels: []promtext.Label{{Name: "route", Value: route}},
-			Value:  float64(autoCounts[route]),
-		})
+	render, contentType := promtext.WriteJSON, "application/json"
+	switch format {
+	case "", "json":
+	case "prometheus":
+		render, contentType = promtext.Write, "text/plain; version=0.0.4; charset=utf-8"
+	default:
+		httpError(w, http.StatusBadRequest, "unknown metrics format %q (json or prometheus)", format)
+		return
 	}
-	if len(auto.Samples) > 0 {
-		fams = append(fams, auto)
-	}
-
-	fams = append(fams,
-		one("trance_optimizer_predicates_pushed_total", "Optimizer predicate pushdowns.", "counter", float64(opt.PredicatesPushed)),
-		one("trance_optimizer_join_side_derived_total", "Join-side filters derived from key equalities.", "counter", float64(opt.JoinSideDerived)),
-		one("trance_optimizer_selects_fused_total", "Adjacent selections fused.", "counter", float64(opt.SelectsFused)),
-		one("trance_optimizer_constants_folded_total", "Constant subexpressions folded.", "counter", float64(opt.ConstantsFolded)),
-		one("trance_optimizer_true_selects_dropped_total", "Trivially-true selections dropped.", "counter", float64(opt.TrueSelectsDropped)),
-		one("trance_optimizer_false_selects_cut_total", "Trivially-false selections cut.", "counter", float64(opt.FalseSelectsCut)),
-		one("trance_optimizer_pushes_refused_total", "Pushdowns refused at soundness boundaries.", "counter", float64(opt.PushesRefused)),
-		one("trance_vectorize_ops_vectorized_total", "Narrow operators compiled to columnar kernels.", "counter", float64(vec.OpsVectorized)),
-		one("trance_vectorize_ops_fallback_total", "Narrow operators kept on the row interpreter.", "counter", float64(vec.OpsFallback)),
-		one("trance_index_built_total", "Secondary indexes built.", "counter", float64(idx.Built)),
-		one("trance_index_refused_total", "Index builds refused.", "counter", float64(idx.Refused)),
-		one("trance_index_maintained_total", "Incremental index maintenance operations.", "counter", float64(idx.Maintained)),
-		one("trance_index_rebuilt_total", "Index rebuilds.", "counter", float64(idx.Rebuilt)),
-		one("trance_index_planned_scans_total", "Index scans planned.", "counter", float64(idx.PlannedScans)),
-		one("trance_index_scans_total", "Index scans executed.", "counter", float64(idx.Scans)),
-		one("trance_index_fallbacks_total", "Index scans that fell back to full scans.", "counter", float64(idx.Fallbacks)),
-		one("trance_index_rows_matched_total", "Rows matched by index scans.", "counter", float64(idx.RowsMatched)),
-	)
-
-	refusals := promtext.Family{Name: "trance_index_refusals_total", Help: "Index build refusals by reason.", Type: "counter"}
-	refusalCounts := trance.IndexRefusalReasons()
-	reasons := make([]string, 0, len(refusalCounts))
-	for reason := range refusalCounts {
-		reasons = append(reasons, reason)
-	}
-	sort.Strings(reasons)
-	for _, reason := range reasons {
-		refusals.Samples = append(refusals.Samples, promtext.Sample{
-			Labels: []promtext.Label{{Name: "reason", Value: reason}},
-			Value:  float64(refusalCounts[reason]),
-		})
-	}
-	if len(refusals.Samples) > 0 {
-		fams = append(fams, refusals)
-	}
-
-	stats := s.snapshotStats()
-	routes := make([]string, 0, len(stats))
-	for route := range stats {
-		routes = append(routes, route)
-	}
-	sort.Strings(routes)
-	reqs := promtext.Family{Name: "trance_route_requests_total", Help: "Query requests by route (query/level/strategy).", Type: "counter"}
-	errs := promtext.Family{Name: "trance_route_errors_total", Help: "Failed query requests by route.", Type: "counter"}
-	shuf := promtext.Family{Name: "trance_route_shuffle_bytes_total", Help: "Engine bytes shuffled by route.", Type: "counter"}
-	lat := promtext.Family{Name: "trance_route_latency_seconds", Help: "Query execution latency by route.", Type: "histogram"}
-	for _, route := range routes {
-		st := stats[route]
-		ls := []promtext.Label{{Name: "route", Value: route}}
-		reqs.Samples = append(reqs.Samples, promtext.Sample{Labels: ls, Value: float64(st.Count)})
-		errs.Samples = append(errs.Samples, promtext.Sample{Labels: ls, Value: float64(st.Errors)})
-		shuf.Samples = append(shuf.Samples, promtext.Sample{Labels: ls, Value: float64(st.ShuffleBytes)})
-		lat.Samples = append(lat.Samples, promtext.HistogramSamples(ls, latencyBuckets, st.Hist[:], st.HistInf, st.HistSum)...)
-	}
-	if len(reqs.Samples) > 0 {
-		fams = append(fams, reqs, errs, shuf, lat)
-	}
-
 	var buf bytes.Buffer
-	if err := promtext.Write(&buf, fams); err != nil {
+	if err := render(&buf, append(promtext.Default.Gather(), s.metrics.reg.Gather()...)); err != nil {
 		httpError(w, http.StatusInternalServerError, "render metrics: %v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	w.Header().Set("Content-Type", contentType)
 	_, _ = w.Write(buf.Bytes())
 }

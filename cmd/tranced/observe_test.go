@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -123,6 +124,126 @@ func TestPrometheusScrape(t *testing.T) {
 	}
 }
 
+// seriesKey identifies one series across both /metrics formats: the sample
+// name (family plus histogram suffix) and its label values, sorted — the
+// JSON rendering keys by label value, not name.
+func seriesKey(name string, values []string) string {
+	sort.Strings(values)
+	return name + "|" + strings.Join(values, "|")
+}
+
+// jsonSeries flattens the JSON /metrics document into seriesKey → value,
+// using the family types from the Prometheus scrape to read histogram leaves.
+func jsonSeries(t *testing.T, doc map[string]any, types map[string]string) map[string]float64 {
+	out := map[string]float64{}
+	var walk func(fam string, v any, path []string)
+	walk = func(fam string, v any, path []string) {
+		switch v := v.(type) {
+		case float64:
+			name := fam
+			if types[fam] == "histogram" {
+				switch n := len(path); {
+				case n >= 2 && path[n-2] == "buckets":
+					name, path = fam+"_bucket", append(path[:n-2:n-2], path[n-1])
+				case n >= 1 && (path[n-1] == "sum" || path[n-1] == "count"):
+					name, path = fam+"_"+path[n-1], path[:n-1]
+				default:
+					t.Fatalf("histogram %s: unexpected leaf at %v", fam, path)
+				}
+			}
+			out[seriesKey(name, append([]string(nil), path...))] = v
+		case map[string]any:
+			for k, sub := range v {
+				walk(fam, sub, append(path[:len(path):len(path)], k))
+			}
+		default:
+			t.Fatalf("family %s: unexpected JSON value %T at %v", fam, v, path)
+		}
+	}
+	for fam, v := range doc {
+		walk(fam, v, nil)
+	}
+	return out
+}
+
+// TestMetricsJSONMatchesPrometheus scrapes both /metrics formats back to back
+// after traffic through a catalog route, an ad-hoc text query and auto
+// strategy resolution: they must serve the same families and the same value
+// for every series. Only the scrape's own footprint may differ — the second
+// scrape counts one more request and a later uptime.
+func TestMetricsJSONMatchesPrometheus(t *testing.T) {
+	ts := httptest.NewServer(smallServer(t))
+	defer ts.Close()
+
+	getJSON(t, ts, "/query?name=tpch/nested-to-nested&level=1&strategy=shred", http.StatusOK)
+	getJSON(t, ts, "/query?name=tpch/nested-to-flat&level=1&strategy=auto", http.StatusOK)
+	resp, err := http.Post(ts.URL+"/query?strategy=standard", "text/plain",
+		strings.NewReader("for c in `tpch/customer` union if c.c_acctbal > 1000.0 then { { name := c.c_name } }"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /query: status %d", resp.StatusCode)
+	}
+
+	doc := getJSON(t, ts, "/metrics", http.StatusOK)
+	prom := scrapeProm(t, ts, "/metrics?format=prometheus", nil)
+
+	types := map[string]string{}
+	promSeries := map[string]float64{}
+	for name, f := range prom {
+		types[name] = f.Type
+		for _, s := range f.Samples {
+			values := make([]string, 0, len(s.Labels))
+			for _, v := range s.Labels {
+				values = append(values, v)
+			}
+			promSeries[seriesKey(s.Name, values)] = s.Value
+		}
+	}
+	for name := range doc {
+		if prom[name] == nil {
+			t.Errorf("family %s is in JSON only", name)
+		}
+	}
+	for name := range prom {
+		if _, ok := doc[name]; !ok {
+			t.Errorf("family %s is in Prometheus only", name)
+		}
+	}
+	for _, fam := range []string{"trance_route_latency_seconds", "trance_route_stage_seconds_total",
+		"trance_route_last_latency_seconds", "trance_auto_strategy_total"} {
+		if len(prom[fam].Samples) == 0 {
+			t.Errorf("family %s has no series after the traffic above", fam)
+		}
+	}
+
+	jsonVals := jsonSeries(t, doc, types)
+	for key, pv := range promSeries {
+		jv, ok := jsonVals[key]
+		switch {
+		case !ok:
+			t.Errorf("series %s is in Prometheus only", key)
+		case key == seriesKey("trance_requests_total", nil):
+			if pv != jv+1 {
+				t.Errorf("%s: Prometheus %g, want JSON %g plus its own scrape", key, pv, jv)
+			}
+		case key == seriesKey("trance_uptime_seconds", nil):
+			if pv < jv {
+				t.Errorf("%s went backwards: %g -> %g", key, jv, pv)
+			}
+		case pv != jv:
+			t.Errorf("series %s: JSON %g, Prometheus %g", key, jv, pv)
+		}
+	}
+	for key := range jsonVals {
+		if _, ok := promSeries[key]; !ok {
+			t.Errorf("series %s is in JSON only", key)
+		}
+	}
+}
+
 func TestMetricsRejectsUnknownFormat(t *testing.T) {
 	ts := httptest.NewServer(smallServer(t))
 	defer ts.Close()
@@ -182,9 +303,9 @@ func spanNames(v map[string]any) map[string]bool {
 }
 
 // TestScrapeWhileServing hammers both metrics renderings concurrently with
-// query traffic. Under -race this is the guard for the snapshot-under-lock,
-// marshal-outside-lock structure of handleMetrics: encoding must never read
-// routeStats the recording path is mutating.
+// query traffic. Under -race this guards the registry's gathering: it must
+// never read a series the recording path is mutating without the series'
+// atomic or lock.
 func TestScrapeWhileServing(t *testing.T) {
 	ts := httptest.NewServer(smallServer(t))
 	defer ts.Close()

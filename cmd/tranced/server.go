@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/trance-go/trance"
@@ -58,62 +57,22 @@ type queryEntry struct {
 }
 
 // latencyBuckets are the fixed upper bounds (seconds) of the per-route
-// latency histogram exposed in the Prometheus exposition; observations above
-// the last bound land only in the implicit +Inf bucket.
+// latency histogram; observations above the last bound land only in the
+// implicit +Inf bucket.
 var latencyBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
-
-// routeStats accumulates per-(query, level, strategy) serving metrics.
-type routeStats struct {
-	Count        int64
-	Errors       int64
-	LastElapsed  time.Duration
-	TotalElapsed time.Duration
-	ShuffleBytes int64
-	StageWall    map[string]time.Duration
-	stageOrder   []string
-	// Hist counts run latencies per latencyBuckets bound; HistInf counts
-	// observations above the last bound and HistSum totals all observed
-	// latencies (seconds). Together they form one Prometheus histogram.
-	Hist    [numLatencyBuckets]int64
-	HistInf int64
-	HistSum float64
-}
-
-// numLatencyBuckets mirrors len(latencyBuckets) as an array length (Go
-// requires a constant there; init asserts they agree).
-const numLatencyBuckets = 13
-
-func init() {
-	if len(latencyBuckets) != numLatencyBuckets {
-		panic("tranced: numLatencyBuckets out of sync with latencyBuckets")
-	}
-}
-
-// observe folds one run latency into the histogram.
-func (st *routeStats) observe(d time.Duration) {
-	secs := d.Seconds()
-	st.HistSum += secs
-	for i, b := range latencyBuckets {
-		if secs <= b {
-			st.Hist[i]++
-			return
-		}
-	}
-	st.HistInf++
-}
 
 // server is the tranced HTTP service: a catalog of named nested datasets
 // (TPC-H and biomedical preloads registered at startup, ad-hoc JSON uploads
 // at runtime) and session-prepared queries over them, served concurrently on
 // one shared worker pool.
 type server struct {
-	mux      *http.ServeMux
-	catalog  *trance.Catalog
-	cfg      serverConfig
-	runCfg   trance.Config
-	pool     *trance.Pool
-	started  time.Time
-	requests atomic.Int64
+	mux     *http.ServeMux
+	catalog *trance.Catalog
+	cfg     serverConfig
+	runCfg  trance.Config
+	pool    *trance.Pool
+	started time.Time
+	metrics serverMetrics
 
 	// qmu guards queries/order: uploads add servable entries at runtime.
 	qmu     sync.RWMutex
@@ -138,9 +97,6 @@ type server struct {
 	tqMu    sync.Mutex
 	tqCache map[string]*trance.SessionQuery
 	tqOrder []string
-
-	mu    sync.Mutex
-	stats map[string]*routeStats
 
 	// traces is the bounded in-memory ring of recent request traces behind
 	// X-Trance-Trace-Id and GET /trace/{id}.
@@ -169,9 +125,9 @@ func newServer(cfg serverConfig) (*server, error) {
 		started: time.Now(),
 		queries: map[string]*queryEntry{},
 		tqCache: map[string]*trance.SessionQuery{},
-		stats:   map[string]*routeStats{},
 		traces:  trance.NewTraceRing(0),
 	}
+	s.metrics = newServerMetrics(s)
 
 	if err := tpch.ValidateLevel(cfg.MaxLevel); err != nil {
 		return nil, err
@@ -272,7 +228,7 @@ func newServer(cfg serverConfig) (*server, error) {
 }
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
+	s.metrics.requests.Inc()
 	s.mux.ServeHTTP(w, r)
 }
 
@@ -1013,143 +969,23 @@ func (s *server) handleTextExplain(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// record folds one run's outcome and engine metrics into the route's stats.
+// record folds one run's outcome and engine metrics into the route's series.
 func (s *server) record(name string, level int, strat string, res *trance.Result, failed bool) {
-	key := fmt.Sprintf("%s/L%d/%s", name, level, strat)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.stats[key]
-	if !ok {
-		st = &routeStats{StageWall: map[string]time.Duration{}}
-		s.stats[key] = st
-	}
-	st.Count++
+	m := &s.metrics
+	route := fmt.Sprintf("%s/L%d/%s", name, level, strat)
+	m.routeRequests.With(route).Inc()
+	// Every served route reports an error count, zero included.
+	errs := m.routeErrors.With(route)
 	if failed {
-		st.Errors++
+		errs.Inc()
 	}
 	if res == nil {
 		return
 	}
-	st.LastElapsed = res.Elapsed
-	st.TotalElapsed += res.Elapsed
-	st.ShuffleBytes += res.Metrics.ShuffleBytes
-	st.observe(res.Elapsed)
+	m.routeLastLatency.With(route).Set(int64(res.Elapsed))
+	m.routeLatency.With(route).Observe(res.Elapsed.Seconds())
+	m.routeShuffleBytes.With(route).Add(res.Metrics.ShuffleBytes)
 	for _, sw := range res.Metrics.StageWall {
-		if _, seen := st.StageWall[sw.Stage]; !seen {
-			st.stageOrder = append(st.stageOrder, sw.Stage)
-		}
-		st.StageWall[sw.Stage] += sw.Wall
+		m.routeStageSeconds.With(route, sw.Stage).Add(int64(sw.Wall))
 	}
-}
-
-// snapshotStats deep-copies every route's stats under the lock, so the
-// metrics encoders (JSON and Prometheus alike) marshal from a private copy
-// with the lock released — a slow scrape client never blocks serving.
-func (s *server) snapshotStats() map[string]*routeStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]*routeStats, len(s.stats))
-	for key, st := range s.stats {
-		cp := *st
-		cp.StageWall = make(map[string]time.Duration, len(st.StageWall))
-		for stage, w := range st.StageWall {
-			cp.StageWall[stage] = w
-		}
-		cp.stageOrder = append([]string(nil), st.stageOrder...)
-		out[key] = &cp
-	}
-	return out
-}
-
-// handleMetrics reports serving counters, the compilation cache, and the
-// accumulated per-stage wall times of every served route. The default body
-// is JSON; ?format=prometheus (or a text/plain Accept header, what a
-// Prometheus scraper sends) switches to the text exposition format.
-func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	format := r.URL.Query().Get("format")
-	if format == "" && strings.Contains(r.Header.Get("Accept"), "text/plain") {
-		format = "prometheus"
-	}
-	switch format {
-	case "", "json":
-	case "prometheus":
-		s.writeMetricsProm(w)
-		return
-	default:
-		httpError(w, http.StatusBadRequest, "unknown metrics format %q (json or prometheus)", format)
-		return
-	}
-
-	type stageMs struct {
-		Stage string  `json:"stage"`
-		Ms    float64 `json:"ms"`
-	}
-	type routeOut struct {
-		Count        int64     `json:"count"`
-		Errors       int64     `json:"errors"`
-		LastMs       float64   `json:"last_elapsed_ms"`
-		TotalMs      float64   `json:"total_elapsed_ms"`
-		ShuffleBytes int64     `json:"shuffle_bytes"`
-		StageWallMs  []stageMs `json:"stage_wall_ms"`
-	}
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-
-	// Size the map from the private copy: s.stats is guarded by s.mu.
-	stats := s.snapshotStats()
-	routes := make(map[string]routeOut, len(stats))
-	for key, st := range stats {
-		ro := routeOut{
-			Count: st.Count, Errors: st.Errors,
-			LastMs: ms(st.LastElapsed), TotalMs: ms(st.TotalElapsed),
-			ShuffleBytes: st.ShuffleBytes,
-			StageWallMs:  []stageMs{},
-		}
-		for _, stage := range st.stageOrder {
-			ro.StageWallMs = append(ro.StageWallMs, stageMs{Stage: stage, Ms: ms(st.StageWall[stage])})
-		}
-		routes[key] = ro
-	}
-
-	cache := trance.PlanCacheStats()
-	opt := trance.OptimizerCounters()
-	vec := trance.VectorizeCounters()
-	idx := trance.IndexCounters()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"uptime_s": time.Since(s.started).Seconds(),
-		"requests": s.requests.Load(),
-		"workers":  s.pool.Workers(),
-		"datasets": len(s.catalog.Names()),
-		"plan_cache": map[string]any{
-			"entries":   cache.Entries,
-			"compiles":  cache.Compiles,
-			"hits":      cache.Hits,
-			"evictions": cache.Evictions,
-		},
-		"auto_strategy": trance.AutoCounters(),
-		"optimizer": map[string]any{
-			"predicates_pushed":    opt.PredicatesPushed,
-			"join_side_derived":    opt.JoinSideDerived,
-			"selects_fused":        opt.SelectsFused,
-			"constants_folded":     opt.ConstantsFolded,
-			"true_selects_dropped": opt.TrueSelectsDropped,
-			"false_selects_cut":    opt.FalseSelectsCut,
-			"pushes_refused":       opt.PushesRefused,
-		},
-		"vectorize": map[string]any{
-			"ops_vectorized": vec.OpsVectorized,
-			"ops_fallback":   vec.OpsFallback,
-		},
-		"index": map[string]any{
-			"built":           idx.Built,
-			"refused":         idx.Refused,
-			"maintained":      idx.Maintained,
-			"rebuilt":         idx.Rebuilt,
-			"planned_scans":   idx.PlannedScans,
-			"scans":           idx.Scans,
-			"fallbacks":       idx.Fallbacks,
-			"rows_matched":    idx.RowsMatched,
-			"refusal_reasons": trance.IndexRefusalReasons(),
-		},
-		"routes": routes,
-	})
 }

@@ -264,7 +264,8 @@ func (ex *Executor) runIndexScan(x *plan.IndexScan) (*dataflow.Dataset, error) {
 		for i, p := range matched {
 			out[i] = rows[p]
 		}
-		index.RecordScan(int64(len(out)))
+		index.Metrics.Scans.Inc()
+		index.Metrics.RowsMatched.Add(int64(len(out)))
 		if ns != nil {
 			ns.WallNS.Add(time.Since(start).Nanoseconds())
 			ns.RowsIn.Add(int64(len(rows)))
@@ -273,7 +274,7 @@ func (ex *Executor) runIndexScan(x *plan.IndexScan) (*dataflow.Dataset, error) {
 		}
 		return ex.Ctx.FromRows(out), nil
 	}
-	index.RecordFallback()
+	index.Metrics.Fallbacks.Inc()
 	sel := &plan.Select{Pred: x.Fallback}
 	if ns != nil {
 		ns.IndexFallbacks.Add(1)

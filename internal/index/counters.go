@@ -4,17 +4,18 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
+
+	"github.com/trance-go/trance/internal/promtext"
 )
 
-// Counters are the process-wide index subsystem counters, served by
-// trance.IndexCounters and the tranced /metrics index block.
+// Counters is a snapshot of the index subsystem counters (trance.IndexCounters
+// reads Metrics into it).
 type Counters struct {
 	// Built counts successful index builds (registration-time auto-builds and
 	// explicit CreateIndex calls alike).
 	Built int64
 	// Refused counts refused builds (non-scalar keys, mixed-type columns,
-	// range-over-bool); RefusalReasons breaks them down.
+	// range-over-bool); Metrics.RefusalReasons breaks them down.
 	Refused int64
 	// Maintained counts incremental Extend merges performed by Append.
 	Maintained int64
@@ -31,70 +32,32 @@ type Counters struct {
 	RowsMatched int64
 }
 
-var global struct {
-	built, refused, maintained, rebuilt atomic.Int64
-	planned, scans, fallbacks, matched  atomic.Int64
-}
-
-var refusals struct {
-	mu      sync.Mutex
-	reasons map[string]int64
-}
-
-// Global returns the process-wide counters.
-func Global() Counters {
-	return Counters{
-		Built:        global.built.Load(),
-		Refused:      global.refused.Load(),
-		Maintained:   global.maintained.Load(),
-		Rebuilt:      global.rebuilt.Load(),
-		PlannedScans: global.planned.Load(),
-		Scans:        global.scans.Load(),
-		Fallbacks:    global.fallbacks.Load(),
-		RowsMatched:  global.matched.Load(),
-	}
-}
-
-// RefusalReasons returns a copy of the per-reason refusal counts.
-func RefusalReasons() map[string]int64 {
-	refusals.mu.Lock()
-	defer refusals.mu.Unlock()
-	out := make(map[string]int64, len(refusals.reasons))
-	for k, v := range refusals.reasons {
-		out[k] = v
-	}
-	return out
+// Metrics are the process-wide index subsystem counters, declared on
+// promtext.Default and incremented where the event happens (builds here, the
+// rebuilds by the catalog, planned scans by the planner, executed scans and
+// fallbacks by the executor).
+var Metrics = struct {
+	Built, Refused, Maintained, Rebuilt         *promtext.Counter
+	PlannedScans, Scans, Fallbacks, RowsMatched *promtext.Counter
+	RefusalReasons                              *promtext.CounterVec
+}{
+	Built:          promtext.Default.Counter("trance_index_built_total", "Secondary indexes built."),
+	Refused:        promtext.Default.Counter("trance_index_refused_total", "Index builds refused."),
+	Maintained:     promtext.Default.Counter("trance_index_maintained_total", "Incremental index maintenance operations."),
+	Rebuilt:        promtext.Default.Counter("trance_index_rebuilt_total", "Index rebuilds."),
+	PlannedScans:   promtext.Default.Counter("trance_index_planned_scans_total", "Index scans planned."),
+	Scans:          promtext.Default.Counter("trance_index_scans_total", "Index scans executed."),
+	Fallbacks:      promtext.Default.Counter("trance_index_fallbacks_total", "Index scans that fell back to full scans."),
+	RowsMatched:    promtext.Default.Counter("trance_index_rows_matched_total", "Rows matched by index scans."),
+	RefusalReasons: promtext.Default.CounterVec("trance_index_refusals_total", "Index build refusals by reason.", "reason"),
 }
 
 // refuse counts a build refusal under its reason and returns the error.
 func refuse(col, reason string) error {
-	global.refused.Add(1)
-	refusals.mu.Lock()
-	if refusals.reasons == nil {
-		refusals.reasons = map[string]int64{}
-	}
-	refusals.reasons[reason]++
-	refusals.mu.Unlock()
+	Metrics.Refused.Inc()
+	Metrics.RefusalReasons.With(reason).Inc()
 	return fmt.Errorf("index: cannot index column %s: %s", col, reason)
 }
-
-func recordBuild()    { global.built.Add(1) }
-func recordMaintain() { global.maintained.Add(1) }
-
-// RecordRebuild counts a delete-triggered full rebuild.
-func RecordRebuild() { global.rebuilt.Add(1) }
-
-// RecordPlanned counts a Select→IndexScan conversion at plan time.
-func RecordPlanned() { global.planned.Add(1) }
-
-// RecordScan counts one executed index scan gathering matched rows.
-func RecordScan(matched int64) {
-	global.scans.Add(1)
-	global.matched.Add(matched)
-}
-
-// RecordFallback counts an IndexScan executed without a usable bound index.
-func RecordFallback() { global.fallbacks.Add(1) }
 
 // Set is a concurrency-safe collection of column indexes for one dataset (or
 // one bound input). Column indexes are immutable; the set itself may gain

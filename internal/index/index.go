@@ -191,7 +191,7 @@ func Build(col string, hash, ordered bool, vals []value.Value) (*ColumnIndex, er
 	if ci.hasOrdered {
 		ci.sortKeys()
 	}
-	recordBuild()
+	Metrics.Built.Inc()
 	return ci, nil
 }
 
@@ -336,7 +336,7 @@ func (ci *ColumnIndex) Extend(tail []value.Value) (*ColumnIndex, error) {
 	if out.hasOrdered {
 		out.sortKeys()
 	}
-	recordMaintain()
+	Metrics.Maintained.Inc()
 	return out, nil
 }
 

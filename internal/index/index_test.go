@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/trance-go/trance/internal/promtext"
 	"github.com/trance-go/trance/internal/value"
 )
 
@@ -120,9 +121,22 @@ func TestSpanFormatting(t *testing.T) {
 	}
 }
 
+// refusalCounts reads the per-reason refusal series from the registry.
+func refusalCounts() map[string]int64 {
+	out := map[string]int64{}
+	for _, f := range promtext.Default.Gather() {
+		if f.Name == "trance_index_refusals_total" {
+			for _, s := range f.Samples {
+				out[s.Labels[0].Value] = int64(s.Value)
+			}
+		}
+	}
+	return out
+}
+
 func TestBuildRefusals(t *testing.T) {
-	before := RefusalReasons()
-	refusedBefore := Global().Refused
+	before := refusalCounts()
+	refusedBefore := Metrics.Refused.Load()
 
 	cases := []struct {
 		name          string
@@ -147,13 +161,13 @@ func TestBuildRefusals(t *testing.T) {
 		}
 	}
 
-	after := RefusalReasons()
+	after := refusalCounts()
 	for _, reason := range []string{"no structure requested", "mixed-type keys", "label column", "boxed value", "range index over bool keys"} {
 		if after[reason] <= before[reason] {
 			t.Errorf("refusal reason %q not counted (%d -> %d)", reason, before[reason], after[reason])
 		}
 	}
-	if got := Global().Refused - refusedBefore; got != int64(len(cases)) {
+	if got := Metrics.Refused.Load() - refusedBefore; got != int64(len(cases)) {
 		t.Errorf("Refused counter advanced by %d, want %d", got, len(cases))
 	}
 }
@@ -398,16 +412,37 @@ func TestSetNilSafety(t *testing.T) {
 	}
 }
 
+// TestCountersRecord checks every index counter is registered on
+// promtext.Default under its family name: bumping the handle moves the
+// gathered value by the same amount.
 func TestCountersRecord(t *testing.T) {
-	before := Global()
-	RecordRebuild()
-	RecordPlanned()
-	RecordScan(7)
-	RecordFallback()
-	after := Global()
-	if after.Rebuilt-before.Rebuilt != 1 || after.PlannedScans-before.PlannedScans != 1 ||
-		after.Scans-before.Scans != 1 || after.RowsMatched-before.RowsMatched != 7 ||
-		after.Fallbacks-before.Fallbacks != 1 {
-		t.Fatalf("counter deltas wrong: before=%+v after=%+v", before, after)
+	handles := map[string]*promtext.Counter{
+		"trance_index_built_total":         Metrics.Built,
+		"trance_index_refused_total":       Metrics.Refused,
+		"trance_index_maintained_total":    Metrics.Maintained,
+		"trance_index_rebuilt_total":       Metrics.Rebuilt,
+		"trance_index_planned_scans_total": Metrics.PlannedScans,
+		"trance_index_scans_total":         Metrics.Scans,
+		"trance_index_fallbacks_total":     Metrics.Fallbacks,
+		"trance_index_rows_matched_total":  Metrics.RowsMatched,
+	}
+	gathered := func() map[string]float64 {
+		out := map[string]float64{}
+		for _, f := range promtext.Default.Gather() {
+			if _, ok := handles[f.Name]; ok {
+				out[f.Name] = f.Samples[0].Value
+			}
+		}
+		return out
+	}
+	before := gathered()
+	for _, c := range handles {
+		c.Add(7)
+	}
+	after := gathered()
+	for name := range handles {
+		if after[name]-before[name] != 7 {
+			t.Errorf("%s moved %g -> %g, want +7", name, before[name], after[name])
+		}
 	}
 }

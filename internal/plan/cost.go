@@ -513,7 +513,7 @@ func (a *annotator) tryIndexScan(scan *Scan, pred Expr, e nodeEst) (Op, nodeEst,
 		EstRows:  int64(e.rows * bestSel),
 	}
 	a.idx.Planned++
-	index.RecordPlanned()
+	index.Metrics.PlannedScans.Inc()
 
 	est := nodeEst{rows: e.rows * bestSel, bytes: e.bytes * bestSel, cols: e.cols}
 	var residual []Expr

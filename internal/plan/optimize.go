@@ -2,9 +2,9 @@ package plan
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"github.com/trance-go/trance/internal/nrc"
+	"github.com/trance-go/trance/internal/promtext"
 	"github.com/trance-go/trance/internal/value"
 )
 
@@ -31,8 +31,8 @@ import (
 //   - into the null-extended side of an outer join.
 
 // OptStats counts optimizer rule applications. Counters are per-compilation
-// when returned by Optimize; GlobalOptStats aggregates them process-wide for
-// serving metrics.
+// when returned by Optimize; Optimize also adds them to process-wide
+// promtext.Default counters for serving metrics.
 type OptStats struct {
 	// PredicatesPushed counts conjunct × operator crossings: a single
 	// predicate sinking below three operators counts three.
@@ -80,23 +80,18 @@ func (s *OptStats) String() string {
 		s.TrueSelectsDropped, s.FalseSelectsCut, s.PushesRefused)
 }
 
-// globalOpt aggregates rule hits across every Optimize call in the process,
-// for serving-layer metrics (tranced /metrics).
-var globalOpt struct {
-	pushed, joinSide, fused, folded, trueDrop, falseCut, refused atomic.Int64
-}
-
-// GlobalOptStats returns the process-wide optimizer rule-hit counters.
-func GlobalOptStats() OptStats {
-	return OptStats{
-		PredicatesPushed:   globalOpt.pushed.Load(),
-		JoinSideDerived:    globalOpt.joinSide.Load(),
-		SelectsFused:       globalOpt.fused.Load(),
-		ConstantsFolded:    globalOpt.folded.Load(),
-		TrueSelectsDropped: globalOpt.trueDrop.Load(),
-		FalseSelectsCut:    globalOpt.falseCut.Load(),
-		PushesRefused:      globalOpt.refused.Load(),
-	}
+// optCounters aggregate rule hits across every Optimize call in the process
+// (tranced /metrics).
+var optCounters = struct {
+	pushed, joinSide, fused, folded, trueDrop, falseCut, refused *promtext.Counter
+}{
+	pushed:   promtext.Default.Counter("trance_optimizer_predicates_pushed_total", "Optimizer predicate pushdowns."),
+	joinSide: promtext.Default.Counter("trance_optimizer_join_side_derived_total", "Join-side filters derived from key equalities."),
+	fused:    promtext.Default.Counter("trance_optimizer_selects_fused_total", "Adjacent selections fused."),
+	folded:   promtext.Default.Counter("trance_optimizer_constants_folded_total", "Constant subexpressions folded."),
+	trueDrop: promtext.Default.Counter("trance_optimizer_true_selects_dropped_total", "Trivially-true selections dropped."),
+	falseCut: promtext.Default.Counter("trance_optimizer_false_selects_cut_total", "Trivially-false selections cut."),
+	refused:  promtext.Default.Counter("trance_optimizer_pushes_refused_total", "Pushdowns refused at soundness boundaries."),
 }
 
 // Optimize applies the rule-based rewrite pass to a plan and returns the
@@ -105,13 +100,13 @@ func GlobalOptStats() OptStats {
 func Optimize(op Op) (Op, OptStats) {
 	var st OptStats
 	out := pushdown(op, nil, &st)
-	globalOpt.pushed.Add(st.PredicatesPushed)
-	globalOpt.joinSide.Add(st.JoinSideDerived)
-	globalOpt.fused.Add(st.SelectsFused)
-	globalOpt.folded.Add(st.ConstantsFolded)
-	globalOpt.trueDrop.Add(st.TrueSelectsDropped)
-	globalOpt.falseCut.Add(st.FalseSelectsCut)
-	globalOpt.refused.Add(st.PushesRefused)
+	optCounters.pushed.Add(st.PredicatesPushed)
+	optCounters.joinSide.Add(st.JoinSideDerived)
+	optCounters.fused.Add(st.SelectsFused)
+	optCounters.folded.Add(st.ConstantsFolded)
+	optCounters.trueDrop.Add(st.TrueSelectsDropped)
+	optCounters.falseCut.Add(st.FalseSelectsCut)
+	optCounters.refused.Add(st.PushesRefused)
 	return out, st
 }
 

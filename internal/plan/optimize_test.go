@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/trance-go/trance/internal/nrc"
+	"github.com/trance-go/trance/internal/promtext"
 )
 
 // Plan-construction helpers: integer-columned scans keep the trees terse.
@@ -408,12 +409,24 @@ func TestOptimizeDoesNotMutateInput(t *testing.T) {
 	}
 }
 
+// defaultValue reads an unlabelled family from the process-wide registry.
+func defaultValue(t *testing.T, name string) float64 {
+	t.Helper()
+	for _, f := range promtext.Default.Gather() {
+		if f.Name == name && len(f.Samples) == 1 {
+			return f.Samples[0].Value
+		}
+	}
+	t.Fatalf("family %s is not registered on promtext.Default", name)
+	return 0
+}
+
 func TestGlobalOptStatsAccumulates(t *testing.T) {
-	before := GlobalOptStats()
+	const family = "trance_optimizer_true_selects_dropped_total"
+	before := defaultValue(t, family)
 	scan := intScan("R", "a")
 	Optimize(sel(scan, eqc(&ConstE{Val: int64(1), Typ: nrc.IntT}, 1)))
-	after := GlobalOptStats()
-	if after.TrueSelectsDropped <= before.TrueSelectsDropped {
-		t.Fatalf("global counters did not advance: %s → %s", before.String(), after.String())
+	if after := defaultValue(t, family); after <= before {
+		t.Fatalf("%s did not advance: %g → %g", family, before, after)
 	}
 }

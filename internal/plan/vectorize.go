@@ -2,7 +2,8 @@ package plan
 
 import (
 	"fmt"
-	"sync/atomic"
+
+	"github.com/trance-go/trance/internal/promtext"
 )
 
 // VecNote records the vectorizer's verdict for one narrow operator. The
@@ -27,7 +28,7 @@ func (v *VecNote) describe() string {
 
 // VecStats counts vectorization outcomes over the narrow operators of a
 // compiled plan (per compilation when returned by the annotator;
-// GlobalVecStats aggregates process-wide for serving metrics).
+// RecordVecStats aggregates them process-wide for serving metrics).
 type VecStats struct {
 	// OpsVectorized counts Select/Extend/Project operators taking the
 	// columnar batch path.
@@ -50,23 +51,16 @@ func (s *VecStats) String() string {
 	return fmt.Sprintf("vectorized=%d fallback=%d", s.OpsVectorized, s.OpsFallback)
 }
 
-// globalVec aggregates vectorization verdicts across every annotation call in
-// the process, for serving-layer metrics (tranced /metrics).
-var globalVec struct {
-	vectorized, fallback atomic.Int64
+// vecCounters aggregate vectorization verdicts across every annotation call
+// in the process (tranced /metrics).
+var vecCounters = struct{ vectorized, fallback *promtext.Counter }{
+	vectorized: promtext.Default.Counter("trance_vectorize_ops_vectorized_total", "Narrow operators compiled to columnar kernels."),
+	fallback:   promtext.Default.Counter("trance_vectorize_ops_fallback_total", "Narrow operators kept on the row interpreter."),
 }
 
 // RecordVecStats folds one compilation's verdicts into the process-wide
 // counters.
 func RecordVecStats(st VecStats) {
-	globalVec.vectorized.Add(st.OpsVectorized)
-	globalVec.fallback.Add(st.OpsFallback)
-}
-
-// GlobalVecStats returns the process-wide vectorization counters.
-func GlobalVecStats() VecStats {
-	return VecStats{
-		OpsVectorized: globalVec.vectorized.Load(),
-		OpsFallback:   globalVec.fallback.Load(),
-	}
+	vecCounters.vectorized.Add(st.OpsVectorized)
+	vecCounters.fallback.Add(st.OpsFallback)
 }

@@ -1,11 +1,13 @@
-// Package promtext implements the Prometheus text exposition format (version
-// 0.0.4) by hand — no client library dependency. The Writer side backs
-// tranced's `GET /metrics?format=prometheus`; the Parser side is a strict
-// validator used by tests and the CI smoke to prove the exposition parses
-// cleanly: HELP/TYPE declarations must precede samples, types must be known,
-// sample names must belong to their family, label values must escape
-// correctly, and histogram buckets must be cumulative with a +Inf bucket
-// matching _count.
+// Package promtext is trance's metrics layer, by hand — no client library
+// dependency. A Registry declares each metric family once (Default holds the
+// library's process-wide counters) and gathers it into Family values, which
+// Write renders in the Prometheus text exposition format (version 0.0.4) and
+// WriteJSON as JSON — the two formats of tranced's `GET /metrics`. The Parser
+// side is a strict validator used by tests and the CI smoke to prove the
+// exposition parses cleanly: HELP/TYPE declarations must precede samples,
+// types must be known, sample names must belong to their family, label
+// values must escape correctly, no series may repeat, and histogram buckets
+// must be cumulative with a +Inf bucket matching _count.
 package promtext
 
 import (
@@ -148,11 +150,12 @@ type ParsedFamily struct {
 // Parse strictly parses an exposition document. Violations — samples before
 // their HELP/TYPE declarations, unknown types, sample names outside the
 // declared family, malformed labels or values, non-cumulative histogram
-// buckets, a missing +Inf bucket, or _count disagreeing with it — are
-// errors.
+// buckets, a missing +Inf bucket, _count disagreeing with it, or a series
+// (sample name and label set) repeated — are errors.
 func Parse(text string) (map[string]*ParsedFamily, error) {
 	fams := map[string]*ParsedFamily{}
 	helpSeen := map[string]bool{}
+	seriesSeen := map[string]bool{}
 	var current *ParsedFamily
 	for lineNo, line := range strings.Split(text, "\n") {
 		n := lineNo + 1
@@ -206,6 +209,11 @@ func Parse(text string) (map[string]*ParsedFamily, error) {
 			if current.Type == "" {
 				return nil, fmt.Errorf("line %d: sample %s before TYPE", n, s.Name)
 			}
+			key := s.Key()
+			if seriesSeen[key] {
+				return nil, fmt.Errorf("line %d: series %s repeated", n, key)
+			}
+			seriesSeen[key] = true
 			current.Samples = append(current.Samples, s)
 		}
 	}

@@ -98,6 +98,8 @@ func TestParseRejectsMalformed(t *testing.T) {
 		{"histogram missing inf", "# HELP h x\n# TYPE h histogram\nh_bucket{le=\"1\"} 2\nh_count 2\n"},
 		{"histogram non-cumulative", "# HELP h x\n# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"2\"} 3\nh_bucket{le=\"+Inf\"} 5\nh_count 5\n"},
 		{"histogram count mismatch", "# HELP h x\n# TYPE h histogram\nh_bucket{le=\"+Inf\"} 5\nh_count 4\n"},
+		{"repeated series", "# HELP x_total h\n# TYPE x_total counter\n" + `x_total{route="a"} 1` + "\n" + `x_total{route="a"} 2` + "\n"},
+		{"repeated unlabelled series", "# HELP m h\n# TYPE m gauge\nm 1\nm 2\n"},
 	}
 	for _, tc := range bad {
 		if _, err := Parse(tc.text); err == nil {

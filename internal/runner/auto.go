@@ -2,11 +2,11 @@ package runner
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"github.com/trance-go/trance/internal/core"
 	"github.com/trance-go/trance/internal/nrc"
 	"github.com/trance-go/trance/internal/plan"
+	"github.com/trance-go/trance/internal/promtext"
 )
 
 // Choice is the outcome of the Auto strategy's compile-time route selection.
@@ -184,19 +184,6 @@ func nestedInput(env nrc.Env, name string) bool {
 	return false
 }
 
-// autoChoices counts compile-time Auto resolutions by chosen strategy
-// (process-wide; served by tranced /metrics).
-var autoChoices [Auto + 1]atomic.Int64
-
-// AutoCounters returns the process-wide count of Auto strategy resolutions,
-// keyed by the chosen route's CLI name. Decisions are counted once per
-// compilation (cached compilations do not re-count).
-func AutoCounters() map[string]int64 {
-	out := map[string]int64{}
-	for _, s := range AllStrategies() {
-		if n := autoChoices[s].Load(); n > 0 {
-			out[s.CLIName()] = n
-		}
-	}
-	return out
-}
+// autoChosen counts compile-time Auto resolutions by the chosen route's CLI
+// name, once per compilation (cached compilations do not re-count).
+var autoChosen = promtext.Default.CounterVec("trance_auto_strategy_total", "Auto strategy resolutions by chosen route.", "route")

@@ -7,6 +7,7 @@ import (
 
 	"github.com/trance-go/trance/internal/nrc"
 	"github.com/trance-go/trance/internal/plan"
+	"github.com/trance-go/trance/internal/promtext"
 	"github.com/trance-go/trance/internal/runner"
 	"github.com/trance-go/trance/internal/stats"
 	"github.com/trance-go/trance/internal/value"
@@ -235,13 +236,26 @@ func TestAutoExplainShowsChoice(t *testing.T) {
 // TestAutoCountersAdvance: compile-time Auto resolutions are counted by
 // chosen route.
 func TestAutoCountersAdvance(t *testing.T) {
-	before := runner.AutoCounters()["standard"]
+	chosen := func(route string) float64 {
+		for _, f := range promtext.Default.Gather() {
+			if f.Name != "trance_auto_strategy_total" {
+				continue
+			}
+			for _, s := range f.Samples {
+				if s.Labels[0].Value == route {
+					return s.Value
+				}
+			}
+		}
+		return 0
+	}
+	before := chosen("standard")
 	cfg := runner.DefaultConfig()
 	if _, err := runner.Compile(flatJoinQuery(), flatAutoEnv(), runner.Auto, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if after := runner.AutoCounters()["standard"]; after != before+1 {
-		t.Fatalf("standard counter %d → %d, want +1", before, after)
+	if after := chosen("standard"); after != before+1 {
+		t.Fatalf("standard counter %g → %g, want +1", before, after)
 	}
 }
 

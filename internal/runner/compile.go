@@ -131,7 +131,7 @@ func CompileStep(q nrc.Expr, env nrc.Env, strat Strategy, cfg Config, topName st
 
 func countAutoChoice(cq *Compiled) {
 	if cq.Requested == Auto {
-		autoChoices[cq.Strategy].Add(1)
+		autoChosen.With(cq.Strategy.CLIName()).Inc()
 	}
 }
 

@@ -7,12 +7,12 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"github.com/trance-go/trance/internal/dataflow"
 	"github.com/trance-go/trance/internal/index"
 	"github.com/trance-go/trance/internal/nrc"
 	"github.com/trance-go/trance/internal/plan"
+	"github.com/trance-go/trance/internal/promtext"
 	"github.com/trance-go/trance/internal/runner"
 	"github.com/trance-go/trance/internal/trace"
 	"github.com/trance-go/trance/internal/value"
@@ -425,7 +425,7 @@ func (pq *PreparedQuery) compiledTracked(strat Strategy) (*runner.Compiled, bool
 	entry.once.Do(func() {
 		pq.compileMu.Lock()
 		defer pq.compileMu.Unlock()
-		planCache.compiles.Add(1)
+		planCache.compiles.Inc()
 		ran = true
 		entry.cq, entry.err = runner.Compile(pq.query, pq.env, strat, pq.cfg)
 	})
@@ -495,29 +495,46 @@ type cacheEntry struct {
 // slots — they re-enter the cache on the next Run.
 var maxPlanCacheEntries = 512
 
-// compilationCache is the process-wide compilation cache behind Prepare.
+// compilationCache is the process-wide compilation cache behind Prepare. Its
+// counters are families of promtext.Default.
 type compilationCache struct {
 	mu       sync.Mutex
 	m        map[string]*cacheEntry
 	order    []string // insertion order, for bounded eviction
-	compiles atomic.Int64
-	hits     atomic.Int64
-	evicts   atomic.Int64
+	compiles *promtext.Counter
+	hits     *promtext.Counter
+	evicts   *promtext.Counter
 }
 
-var planCache = &compilationCache{m: map[string]*cacheEntry{}}
+var planCache = &compilationCache{
+	m:        map[string]*cacheEntry{},
+	compiles: promtext.Default.Counter("trance_plan_cache_compiles_total", "Compilations performed."),
+	hits:     promtext.Default.Counter("trance_plan_cache_hits_total", "Plan cache lookups served without compiling."),
+	evicts:   promtext.Default.Counter("trance_plan_cache_evictions_total", "Plan cache entries evicted by the size bound."),
+}
+
+func init() {
+	promtext.Default.GaugeFunc("trance_plan_cache_entries", "Compiled (query, strategy) plans cached.",
+		func() float64 { return float64(planCache.len()) })
+}
+
+func (c *compilationCache) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.m)
+}
 
 func (c *compilationCache) entry(key string) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.m[key]; ok {
-		c.hits.Add(1)
+		c.hits.Inc()
 		return e
 	}
 	for len(c.m) >= maxPlanCacheEntries && len(c.order) > 0 {
 		delete(c.m, c.order[0])
 		c.order = c.order[1:]
-		c.evicts.Add(1)
+		c.evicts.Inc()
 	}
 	e := &cacheEntry{}
 	c.m[key] = e
@@ -539,25 +556,10 @@ type CacheStats struct {
 
 // PlanCacheStats returns a snapshot of the process-wide compilation cache.
 func PlanCacheStats() CacheStats {
-	planCache.mu.Lock()
-	n := len(planCache.m)
-	planCache.mu.Unlock()
 	return CacheStats{
-		Entries:   n,
+		Entries:   planCache.len(),
 		Compiles:  planCache.compiles.Load(),
 		Hits:      planCache.hits.Load(),
 		Evictions: planCache.evicts.Load(),
 	}
-}
-
-// ResetPlanCache empties the compilation cache (counters included).
-// In-flight runs keep their entries; subsequent first uses recompile.
-func ResetPlanCache() {
-	planCache.mu.Lock()
-	planCache.m = map[string]*cacheEntry{}
-	planCache.order = nil
-	planCache.mu.Unlock()
-	planCache.compiles.Store(0)
-	planCache.hits.Store(0)
-	planCache.evicts.Store(0)
 }

@@ -231,10 +231,6 @@ func AllStrategies() []Strategy { return runner.AllStrategies() }
 // shred-skew | shred+unshred-skew | auto.
 func ParseStrategy(name string) (Strategy, bool) { return runner.ParseStrategy(name) }
 
-// AutoCounters returns the process-wide count of Auto strategy resolutions by
-// chosen route (CLI names), one per compilation (served by tranced /metrics).
-func AutoCounters() map[string]int64 { return runner.AutoCounters() }
-
 // Dataset statistics (see docs/COSTMODEL.md).
 type (
 	// DatasetStats holds one dataset's collected statistics: row/byte counts
@@ -278,44 +274,28 @@ func DefaultConfig() Config { return runner.DefaultConfig() }
 // cache.
 func Run(job Job, strat Strategy, cfg Config) *Result { return runner.Run(job, strat, cfg) }
 
-// OptimizerStats counts rule applications of the compile-time plan
-// optimizer: predicate pushdown (below projections, joins, unnests,
-// structural nests, dedup, union), join-side filters derived from key
-// equalities, select fusion, constant folding, trivially-true/false
-// predicate elimination, and refusals at soundness boundaries
-// (outer-preserving selections, explicit nests, AddIndex, outer-join right
-// sides). See docs/OPTIMIZER.md.
-type OptimizerStats = plan.OptStats
-
-// OptimizerCounters returns the process-wide optimizer rule-hit counters,
-// aggregated over every compilation since start (served by tranced
-// /metrics). Per-query counters appear in PreparedQuery.Explain output.
-func OptimizerCounters() OptimizerStats { return plan.GlobalOptStats() }
-
-// VectorizeStats counts, per compilation, how many narrow operators
-// (selections, extensions, projections) compiled to columnar batch kernels
-// versus fell back to the row-at-a-time interpreter. See docs/VECTORIZE.md.
-type VectorizeStats = plan.VecStats
-
-// VectorizeCounters returns the process-wide vectorizer counters, aggregated
-// over every compilation since start (served by tranced /metrics). Per-query
-// counters and per-operator fallback reasons appear in PreparedQuery.Explain
-// output.
-func VectorizeCounters() VectorizeStats { return plan.GlobalVecStats() }
-
 // IndexStats are the process-wide secondary-index subsystem counters: builds,
 // refusals, incremental maintenance, rebuilds, planned and executed index
 // scans, fallbacks, and matched rows. See docs/INDEXES.md.
 type IndexStats = index.Counters
 
 // IndexCounters returns the process-wide index counters, aggregated since
-// start (served by tranced /metrics). Per-query Select→IndexScan conversions
-// appear in PreparedQuery.Explain output.
-func IndexCounters() IndexStats { return index.Global() }
-
-// IndexRefusalReasons breaks IndexCounters().Refused down by reason (e.g.
-// "label column", "mixed-type keys", "range index over bool keys").
-func IndexRefusalReasons() map[string]int64 { return index.RefusalReasons() }
+// start (served by tranced /metrics, which also breaks refusals down by
+// reason). Per-query Select→IndexScan conversions appear in
+// PreparedQuery.Explain output.
+func IndexCounters() IndexStats {
+	m := &index.Metrics
+	return IndexStats{
+		Built:        m.Built.Load(),
+		Refused:      m.Refused.Load(),
+		Maintained:   m.Maintained.Load(),
+		Rebuilt:      m.Rebuilt.Load(),
+		PlannedScans: m.PlannedScans.Load(),
+		Scans:        m.Scans.Load(),
+		Fallbacks:    m.Fallbacks.Load(),
+		RowsMatched:  m.RowsMatched.Load(),
+	}
+}
 
 // Observability (see docs/OBSERVABILITY.md).
 type (
