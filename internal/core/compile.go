@@ -541,10 +541,13 @@ func splitConj(e nrc.Expr) []nrc.Expr {
 
 // splitJoinCond recognizes an equality whose sides separate cleanly between
 // previously-bound variables and the new variable v. Returns (priorSide,
-// newSide, ok).
+// newSide, ok). Only equalities whose sides share a type become join keys:
+// hash joins match on the canonical key encoding, which keeps int and real
+// apart, while 1 = 1.0 holds under value.Compare. A mixed int/real equality
+// stays a residual predicate, evaluated with Compare like any other filter.
 func (q *qc) splitJoinCond(f nrc.Expr, v string) (nrc.Expr, nrc.Expr, bool) {
 	cmp, ok := f.(*nrc.Cmp)
-	if !ok || cmp.Op != nrc.Eq {
+	if !ok || cmp.Op != nrc.Eq || nrc.MixedNumeric(cmp.L.Type(), cmp.R.Type()) {
 		return nil, nil, false
 	}
 	lv := nrc.FreeVars(cmp.L)

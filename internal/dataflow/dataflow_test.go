@@ -296,29 +296,6 @@ func TestDistinct(t *testing.T) {
 	}
 }
 
-func TestCoGroup(t *testing.T) {
-	c := NewContext(3)
-	l := c.FromRows([]Row{{int64(1), "a"}, {int64(1), "b"}, {int64(2), "c"}})
-	r := c.FromRows([]Row{{int64(1), int64(10)}, {int64(3), int64(30)}})
-	cg, err := l.CoGroup("cg", r, []int{0}, []int{0}, func(ls, rs []Row) []Row {
-		return []Row{{ls[0][0], int64(len(ls)), int64(len(rs))}}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := cg.CollectSorted()
-	// Keys from the left drive the output: 1 (2 left, 1 right), 2 (1 left, 0).
-	if len(got) != 2 {
-		t.Fatalf("cogroup keys=%d: %v", len(got), got)
-	}
-	if got[0][1].(int64) != 2 || got[0][2].(int64) != 1 {
-		t.Fatalf("key1 wrong: %v", got[0])
-	}
-	if got[1][1].(int64) != 1 || got[1][2].(int64) != 0 {
-		t.Fatalf("key2 wrong: %v", got[1])
-	}
-}
-
 func TestUnionAndAddUniqueID(t *testing.T) {
 	c := NewContext(3)
 	a := c.FromRows(rowsOfInts(1, 1, 2, 2))

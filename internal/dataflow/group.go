@@ -21,18 +21,15 @@ func (d *Dataset) GroupReduce(stage string, cols []int, reduce func(rows []Row) 
 	start := time.Now()
 	parts := make([][]Row, len(sh.parts))
 	reduceErr := d.ctx.runParts(len(sh.parts), func(i int) error {
-		groups := make(map[string][]Row)
-		order := make([]string, 0, 64)
+		groups := newKeyTable(0)
+		var key []byte
 		sh.feed(i, func(r Row) {
-			k := value.KeyCols(r, cols)
-			if _, ok := groups[k]; !ok {
-				order = append(order, k)
-			}
-			groups[k] = append(groups[k], r)
+			key = value.AppendKeyCols(key[:0], r, cols)
+			groups.add(key, r)
 		})
 		var out []Row
-		for _, k := range order {
-			out = append(out, reduce(groups[k])...)
+		for _, rows := range groups.groups {
+			out = append(out, reduce(rows)...)
 		}
 		parts[i] = out
 		return nil
@@ -45,6 +42,38 @@ func (d *Dataset) GroupReduce(stage string, cols []int, reduce func(rows []Row) 
 		return nil, err
 	}
 	return &Dataset{ctx: d.ctx, parts: parts}, nil
+}
+
+// keyTable groups rows by their encoded composite key (value.AppendKeyCols),
+// keeping groups in first-seen order. Callers encode into a reused buffer;
+// lookups convert it with string(key) inside the map index, which Go does
+// not allocate for, so only inserting a new distinct key allocates a string.
+type keyTable struct {
+	index  map[string]int
+	groups [][]Row
+}
+
+func newKeyTable(capacity int) *keyTable {
+	return &keyTable{index: make(map[string]int, capacity)}
+}
+
+// add appends r to the group of key.
+func (t *keyTable) add(key []byte, r Row) {
+	g, ok := t.index[string(key)]
+	if !ok {
+		g = len(t.groups)
+		t.index[string(key)] = g
+		t.groups = append(t.groups, nil)
+	}
+	t.groups[g] = append(t.groups[g], r)
+}
+
+// get returns the rows of key, or nil.
+func (t *keyTable) get(key []byte) []Row {
+	if g, ok := t.index[string(key)]; ok {
+		return t.groups[g]
+	}
+	return nil
 }
 
 // WithPartitioner asserts a partitioning guarantee on the dataset. It is the

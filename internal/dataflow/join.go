@@ -31,7 +31,7 @@ func (d *Dataset) Join(stage string, right *Dataset, lcols, rcols []int, rightWi
 	start := time.Now()
 	parts := make([][]Row, len(ls.parts))
 	joinErr := d.ctx.runParts(len(ls.parts), func(i int) error {
-		var build map[string][]Row
+		var build *keyTable
 		if i < len(rs.parts) {
 			build = buildJoinMap(rs, i, rcols)
 		}
@@ -94,14 +94,15 @@ func (d *Dataset) BroadcastJoin(stage string, right *Dataset, lcols, rcols []int
 
 // buildJoinMap builds the hash table over one partition of the right side,
 // streaming through any pending fused chain.
-func buildJoinMap(rs *Dataset, part int, rcols []int) map[string][]Row {
-	build := make(map[string][]Row, len(rs.parts[part]))
+func buildJoinMap(rs *Dataset, part int, rcols []int) *keyTable {
+	build := newKeyTable(len(rs.parts[part]))
+	var key []byte
 	rs.feed(part, func(r Row) {
 		if anyNullCols(r, rcols) {
 			return
 		}
-		k := value.KeyCols(r, rcols)
-		build[k] = append(build[k], r)
+		key = value.AppendKeyCols(key[:0], r, rcols)
+		build.add(key, r)
 	})
 	return build
 }
@@ -109,24 +110,27 @@ func buildJoinMap(rs *Dataset, part int, rcols []int) map[string][]Row {
 // buildJoinMapRows builds the hash table over collected rows (broadcast
 // side). With rcols nil (cross join) every row lands under the empty key, so
 // each probe matches all of them.
-func buildJoinMapRows(rows []Row, rcols []int) map[string][]Row {
-	build := make(map[string][]Row, len(rows))
+func buildJoinMapRows(rows []Row, rcols []int) *keyTable {
+	build := newKeyTable(len(rows))
+	var key []byte
 	for _, r := range rows {
 		if anyNullCols(r, rcols) {
 			continue
 		}
-		k := value.KeyCols(r, rcols)
-		build[k] = append(build[k], r)
+		key = value.AppendKeyCols(key[:0], r, rcols)
+		build.add(key, r)
 	}
 	return build
 }
 
 // probeJoin probes one left row against the build table, emitting joined rows
-// (or the NULL-padded row under leftOuter).
-func probeJoin(l Row, build map[string][]Row, lcols []int, rightWidth int, leftOuter bool, emit func(Row)) {
+// (or the NULL-padded row under leftOuter). The probe key is encoded into a
+// stack array, so a short key costs no allocation.
+func probeJoin(l Row, build *keyTable, lcols []int, rightWidth int, leftOuter bool, emit func(Row)) {
 	var matches []Row
-	if !anyNullCols(l, lcols) {
-		matches = build[value.KeyCols(l, lcols)]
+	if build != nil && !anyNullCols(l, lcols) {
+		var scratch [64]byte
+		matches = build.get(value.AppendKeyCols(scratch[:0], l, lcols))
 	}
 	if len(matches) == 0 {
 		if leftOuter {
@@ -155,56 +159,4 @@ func padRight(l Row, rightWidth int) Row {
 	nr := make(Row, len(l)+rightWidth)
 	copy(nr, l)
 	return nr
-}
-
-// CoGroup shuffles both sides on their keys and invokes fn once per distinct
-// key with all left and right rows carrying it. It is the engine primitive
-// behind the paper's join+nest → cogroup fusion (Section 3, Optimization):
-// grouping happens during the join, avoiding a separate regrouping shuffle.
-func (d *Dataset) CoGroup(stage string, right *Dataset, lcols, rcols []int, fn func(lrows, rrows []Row) []Row) (*Dataset, error) {
-	ls, err := d.RepartitionBy(stage+"/L", lcols)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := right.RepartitionBy(stage+"/R", rcols)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	parts := make([][]Row, len(ls.parts))
-	cgErr := d.ctx.runParts(len(ls.parts), func(i int) error {
-		lgroups := make(map[string][]Row)
-		order := make([]string, 0, 64)
-		ls.feed(i, func(r Row) {
-			k := value.KeyCols(r, lcols)
-			if _, ok := lgroups[k]; !ok {
-				order = append(order, k)
-			}
-			lgroups[k] = append(lgroups[k], r)
-		})
-		rgroups := make(map[string][]Row)
-		if i < len(rs.parts) {
-			rs.feed(i, func(r Row) {
-				if anyNullCols(r, rcols) {
-					return
-				}
-				k := value.KeyCols(r, rcols)
-				rgroups[k] = append(rgroups[k], r)
-			})
-		}
-		var out []Row
-		for _, k := range order {
-			out = append(out, fn(lgroups[k], rgroups[k])...)
-		}
-		parts[i] = out
-		return nil
-	})
-	d.ctx.Metrics.AddStageWall(stage, time.Since(start))
-	if cgErr != nil {
-		return nil, cgErr
-	}
-	if err := d.ctx.checkPartitions(stage+"/out", parts); err != nil {
-		return nil, err
-	}
-	return &Dataset{ctx: d.ctx, parts: parts}, nil
 }

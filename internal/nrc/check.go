@@ -466,6 +466,16 @@ func comparable(a, b Type) bool {
 	return TypesEqual(a, b) && (IsScalar(a) || TypesEqual(a, LabelT))
 }
 
+// MixedNumeric reports whether a and b are an int and a real. Such values
+// can be equal under value.Compare (1 = 1.0) but never share a canonical key
+// (value.AppendKey), so an equality between them may be evaluated but must
+// not drive a hash join or rebuild a label.
+func MixedNumeric(a, b Type) bool {
+	an, ar := numeric(a)
+	bn, br := numeric(b)
+	return an && bn && ar != br
+}
+
 func numeric(t Type) (isNumeric, isReal bool) {
 	s, ok := t.(ScalarType)
 	if !ok {

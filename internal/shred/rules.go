@@ -141,6 +141,11 @@ func (m *materializer) tryRule2(entry *DictEntry) (nrc.Expr, bool, error) {
 	if !found {
 		return nil, false, nil
 	}
+	if nrc.MixedNumeric(entry.Params[0].Type, capExpr.Type()) {
+		// The rebuilt label would encode the compared value's kind, not
+		// the parameter's, and never match the parent's labels.
+		return nil, false, nil
+	}
 	if nrc.FreeVars(rewritten)[p] {
 		return nil, false, nil // param used beyond the equality
 	}

@@ -39,17 +39,28 @@ func (det Detector) HeavyKeys(d *dataflow.Dataset, cols []int) map[string]bool {
 		if len(sample) == 0 {
 			return
 		}
-		counts := map[string]int{}
+		// index maps a key to its slot in counts; only a new distinct key
+		// allocates its string.
+		index := map[string]int{}
+		var counts []int
+		var key []byte
 		for _, r := range sample {
-			counts[value.KeyCols(r, cols)]++
+			key = value.AppendKeyCols(key[:0], r, cols)
+			i, ok := index[string(key)]
+			if !ok {
+				i = len(counts)
+				index[string(key)] = i
+				counts = append(counts, 0)
+			}
+			counts[i]++
 		}
 		limit := int(det.Threshold * float64(len(sample)))
 		if limit < 1 {
 			limit = 1
 		}
 		var heavy []string
-		for k, c := range counts {
-			if c >= limit && c > 1 {
+		for k, i := range index {
+			if c := counts[i]; c >= limit && c > 1 {
 				heavy = append(heavy, k)
 			}
 		}
@@ -69,7 +80,15 @@ func Split(d *dataflow.Dataset, cols []int, heavy map[string]bool) (light, heavy
 	if len(heavy) == 0 {
 		return d, d.Context().Empty()
 	}
-	light = d.Filter(func(r dataflow.Row) bool { return !heavy[value.KeyCols(r, cols)] })
-	heavyDS = d.Filter(func(r dataflow.Row) bool { return heavy[value.KeyCols(r, cols)] })
+	light = d.Filter(func(r dataflow.Row) bool { return !isHeavy(heavy, r, cols) })
+	heavyDS = d.Filter(func(r dataflow.Row) bool { return isHeavy(heavy, r, cols) })
 	return light, heavyDS
+}
+
+// isHeavy reports whether r's key over cols is in heavy. Filters run on
+// several partition goroutines at once, so each call encodes into its own
+// stack array rather than a buffer shared by the closure.
+func isHeavy(heavy map[string]bool, r dataflow.Row, cols []int) bool {
+	var scratch [64]byte
+	return heavy[string(value.AppendKeyCols(scratch[:0], r, cols))]
 }

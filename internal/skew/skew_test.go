@@ -1,6 +1,8 @@
 package skew
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/trance-go/trance/internal/dataflow"
@@ -75,5 +77,44 @@ func TestSplitNoHeavyKeysIsIdentity(t *testing.T) {
 	light, heavy := Split(d, []int{0}, nil)
 	if light != d || heavy.Count() != 0 {
 		t.Fatal("empty heavy-key set must return the input unchanged")
+	}
+}
+
+// TestSplitConcurrentPartitions runs Split's filters on several partition
+// goroutines at once over keys of mixed length, short and past the stack
+// scratch, so a key buffer shared between them would misclassify rows (and
+// trip the race detector).
+func TestSplitConcurrentPartitions(t *testing.T) {
+	ctx := dataflow.NewContext(8)
+	ctx.Workers = 4
+	rows := make([]dataflow.Row, 4000)
+	for i := range rows {
+		key := fmt.Sprintf("k%d", i%50)
+		if i%3 == 0 {
+			key = strings.Repeat("long-key-", 10) + key
+		}
+		rows[i] = dataflow.Row{key, int64(i)}
+	}
+	hk := map[string]bool{}
+	for i := 0; i < 50; i += 7 {
+		hk[value.Key(fmt.Sprintf("k%d", i))] = true
+		hk[value.Key(strings.Repeat("long-key-", 10)+fmt.Sprintf("k%d", i))] = true
+	}
+	light, heavy := Split(ctx.FromRows(rows), []int{0}, hk)
+	nl, nh := 0, 0
+	for _, r := range light.Collect() {
+		if hk[value.KeyCols(r, []int{0})] {
+			t.Fatalf("heavy row %v in light component", r)
+		}
+		nl++
+	}
+	for _, r := range heavy.Collect() {
+		if !hk[value.KeyCols(r, []int{0})] {
+			t.Fatalf("light row %v in heavy component", r)
+		}
+		nh++
+	}
+	if nl+nh != len(rows) || nh == 0 || nl == 0 {
+		t.Fatalf("split %d light + %d heavy of %d rows", nl, nh, len(rows))
 	}
 }

@@ -196,8 +196,9 @@ func Collect(b value.Bag, t nrc.BagType, opts Options) *Table {
 
 	cols := make([]colAcc, len(fields))
 	for i := range cols {
-		cols[i] = colAcc{sketch: newKMV(opts.SketchSize), heavyCounts: map[string]heavyCount{}}
+		cols[i] = colAcc{sketch: newKMV(opts.SketchSize), heavyCounts: map[string]*heavyCount{}}
 	}
+	var key []byte
 	for _, r := range rows {
 		for i, f := range fields {
 			v := r[f.idx]
@@ -214,13 +215,14 @@ func Collect(b value.Bag, t nrc.BagType, opts Options) *Table {
 			}
 			ca.sketch.add(value.Hash64(v))
 			if len(heavy[i]) > 0 {
-				if k := value.KeyCols(r, []int{f.idx}); heavy[i][k] {
-					hc := ca.heavyCounts[k]
-					hc.count++
-					if hc.count == 1 {
-						hc.rendered = value.Format(v)
+				key = value.AppendKey(key[:0], v)
+				if heavy[i][string(key)] {
+					hc := ca.heavyCounts[string(key)]
+					if hc == nil {
+						hc = &heavyCount{rendered: value.Format(v)}
+						ca.heavyCounts[string(key)] = hc
 					}
-					ca.heavyCounts[k] = hc
+					hc.count++
 				}
 			}
 			cols[i] = *ca
@@ -257,7 +259,7 @@ type colAcc struct {
 	min, max    value.Value
 	nulls       int64
 	sketch      *kmv
-	heavyCounts map[string]heavyCount
+	heavyCounts map[string]*heavyCount
 }
 
 type scalarField struct {

@@ -1,6 +1,8 @@
 package value
 
 import (
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -254,5 +256,110 @@ func TestParseDate(t *testing.T) {
 		if _, ok := ParseDate(bad); ok {
 			t.Fatalf("ParseDate(%q) should fail", bad)
 		}
+	}
+}
+
+// genKeyValue draws a random flat value: every kind AppendKey encodes,
+// including labels with tuple payloads and nested tuples.
+func genKeyValue(r *rand.Rand, depth int) Value {
+	kinds := 9
+	if depth <= 0 {
+		kinds = 7 // scalars only
+	}
+	switch r.Intn(kinds) {
+	case 0:
+		return nil
+	case 1:
+		return r.Intn(2) == 0
+	case 2:
+		return r.Int63() - r.Int63()
+	case 3:
+		switch r.Intn(4) {
+		case 0:
+			return math.Copysign(0, -1)
+		case 1:
+			return math.Inf(1)
+		}
+		return r.NormFloat64() * 1e6
+	case 4:
+		return MakeDate(1990+r.Intn(20), 1+r.Intn(12), 1+r.Intn(28))
+	case 5:
+		b := make([]byte, r.Intn(80)) // crosses the 64-byte probe scratch
+		r.Read(b)
+		return string(b)
+	case 6:
+		return ""
+	case 7:
+		n := r.Intn(3)
+		payload := make(Tuple, n)
+		for i := range payload {
+			payload[i] = genKeyValue(r, depth-1)
+		}
+		return Label{Site: int32(r.Intn(1000)), Payload: payload}
+	default:
+		t := make(Tuple, r.Intn(4))
+		for i := range t {
+			t[i] = genKeyValue(r, depth-1)
+		}
+		return t
+	}
+}
+
+func fnvOf(b []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
+}
+
+// TestHashMatchesKeyEncoding pins the hash to the canonical encoding: the
+// buffer-free HashCols and Hash64 must equal FNV-1a over the AppendKey bytes,
+// which is what partition placement was defined as before they stopped
+// materializing those bytes.
+func TestHashMatchesKeyEncoding(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 5000; i++ {
+		row := make(Tuple, 1+r.Intn(5))
+		for j := range row {
+			row[j] = genKeyValue(r, 3)
+		}
+		var cols []int
+		for j := range row {
+			if r.Intn(3) > 0 {
+				cols = append(cols, j)
+			}
+		}
+		enc := AppendKeyCols(nil, row, cols)
+		if got, want := HashCols(row, cols), fnvOf(enc); got != want {
+			t.Fatalf("HashCols(%s, %v) = %x, FNV-1a of its encoding = %x", Format(row), cols, got, want)
+		}
+		if KeyCols(row, cols) != string(enc) {
+			t.Fatalf("KeyCols(%s, %v) differs from AppendKeyCols", Format(row), cols)
+		}
+		for _, v := range row {
+			if got, want := Hash64(v), fnvOf(AppendKey(nil, v)); got != want {
+				t.Fatalf("Hash64(%s) = %x, FNV-1a of its encoding = %x", Format(v), got, want)
+			}
+		}
+	}
+}
+
+// TestNegativeZeroKeysAsZero: Compare treats -0.0 and 0.0 as equal, so they
+// must share a key and a hash.
+func TestNegativeZeroKeysAsZero(t *testing.T) {
+	neg := math.Copysign(0, -1)
+	if Key(neg) != Key(0.0) || Hash64(neg) != Hash64(0.0) {
+		t.Fatal("-0.0 and 0.0 must encode and hash alike")
+	}
+	if Key(1.0) == Key(int64(1)) {
+		t.Fatal("int and real keys must stay apart")
+	}
+}
+
+// TestHashColsDoesNotAllocate: partition routing hashes every shuffled row.
+func TestHashColsDoesNotAllocate(t *testing.T) {
+	row := Tuple{int64(42), "customer#000000042", 3.5, MakeDate(1996, 1, 2), Label{Site: 3, Payload: Tuple{int64(1)}}}
+	cols := []int{0, 1, 2, 3, 4}
+	if n := testing.AllocsPerRun(100, func() { HashCols(row, cols) }); n != 0 {
+		t.Fatalf("HashCols allocated %.1f times per call", n)
 	}
 }
